@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 2
     except (NonFinite, ValueError) as exc:
-        # constraint violations and invalid parameters (domain errors)
+        # constraint violations and rejected parameter values (domain errors)
         _emit_error(exc)
         return 1
 

@@ -21,7 +21,6 @@ __all__ = ["Scalar", "as_scalar"]
 
 # Working precision (decimal digits) for sign decisions and float export.
 _APPROX_DIGITS = 48
-_APPROX_DEN = 10 ** _APPROX_DIGITS
 
 
 @lru_cache(maxsize=None)
@@ -42,9 +41,9 @@ def _square_free(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_approx(r: int) -> Fraction:
-    """Rational approximation of sqrt(r), accurate to ~10**-_APPROX_DIGITS."""
-    return Fraction(isqrt(r * _APPROX_DEN * _APPROX_DEN), _APPROX_DEN)
+def _sqrt_approx(r: int, digits: int = _APPROX_DIGITS) -> Fraction:
+    """sqrt(r) rounded down to a multiple of 10**-digits; the error is below 10**-digits."""
+    return Fraction(isqrt(r * 10 ** (2 * digits)), 10**digits)
 
 
 class Scalar:
@@ -117,13 +116,22 @@ class Scalar:
         return sum((q * _sqrt_approx(r) for r, q in self._terms.items()), Fraction(0))
 
     def sign(self) -> int:
+        """Exact sign: bound each sqrt from both sides, doubling the digits
+        until the interval excludes 0 (it does for every nonzero value)."""
         if not self._terms:
             return 0
-        a = self._approx()
-        if a == 0:
-            # Cannot happen for honestly constructed values at this precision.
-            raise ArithmeticError(f"ambiguous sign for {self!r}")
-        return 1 if a > 0 else -1
+        if len(self._terms) == 1:  # q*sqrt(r) has the sign of q
+            return 1 if next(iter(self._terms.values())) > 0 else -1
+        digits = _APPROX_DIGITS
+        while True:
+            lo = hi = Fraction(0)
+            for r, q in self._terms.items():
+                s = _sqrt_approx(r, digits)  # exact for r = 1
+                a, b = q * s, q * (s + Fraction(r != 1, 10**digits))
+                lo, hi = lo + min(a, b), hi + max(a, b)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            digits *= 2
 
     def __float__(self) -> float:
         return float(self._approx())
@@ -168,6 +176,8 @@ class Scalar:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Scalar._raw({r: q * other for r, q in self._terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -218,6 +228,9 @@ class Scalar:
         return self._terms == o._terms
 
     def __hash__(self):
+        # equal to hash(Fraction) for rational values, which compare equal
+        if self.is_rational:
+            return hash(self._terms.get(1, Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
     def _cmp(self, other) -> int:

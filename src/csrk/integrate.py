@@ -220,6 +220,24 @@ def _solve_stages(
     )
 
 
+def _step(
+    t: ButcherTableau,
+    problem: OdeProblem,
+    tn: float,
+    zn: np.ndarray,
+    h: float,
+    cfg: StepperConfig,
+) -> tuple[np.ndarray, int]:
+    """The step body shared by rk_step and integrate: (z1, stage iterations)."""
+    u, iters = _solve_stages(t, problem, tn, zn, h, cfg)
+    stage_times = tn + t.c * h
+    f_final = np.array([problem.rhs(stage_times[i], u[i]) for i in range(t.stages)])
+    z1 = zn + h * (t.b @ f_final)
+    if not np.all(np.isfinite(z1)):
+        raise NonFinite("step produced non-finite state")
+    return z1, iters
+
+
 def rk_step(
     t: ButcherTableau,
     problem: OdeProblem,
@@ -229,14 +247,7 @@ def rk_step(
     cfg: StepperConfig = StepperConfig(),
 ) -> np.ndarray:
     """One implicit RK step from (tn, zn) with step h (h may be negative)."""
-    zn = np.asarray(zn, float)
-    u, _ = _solve_stages(t, problem, tn, zn, h, cfg)
-    stage_times = tn + t.c * h
-    f_final = np.array([problem.rhs(stage_times[i], u[i]) for i in range(t.stages)])
-    z1 = zn + h * (t.b @ f_final)
-    if not np.all(np.isfinite(z1)):
-        raise NonFinite("step produced non-finite state")
-    return z1
+    return _step(t, problem, tn, np.asarray(zn, float), h, cfg)[0]
 
 
 def integrate(
@@ -256,17 +267,11 @@ def integrate(
     z = problem.z0.copy()
     for n in range(n_steps):
         try:
-            u, it = _solve_stages(t, problem, times[n], z, h, cfg)
+            z, iters[n + 1] = _step(t, problem, times[n], z, h, cfg)
         except (NonConvergence, NonFinite) as exc:
             exc.step_index = n
             raise
-        stage_times = times[n] + t.c * h
-        f_final = np.array([problem.rhs(stage_times[i], u[i]) for i in range(t.stages)])
-        z = z + h * (t.b @ f_final)
-        if not np.all(np.isfinite(z)):
-            raise NonFinite(f"non-finite state after step {n}", step_index=n)
         states[n + 1] = z
-        iters[n + 1] = it
     return Trajectory(times, states, iters)
 
 

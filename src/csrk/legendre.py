@@ -5,6 +5,25 @@ and P_i has exact degree i.  Univariate polynomials are stored by their
 coefficients in this basis; all structural constants (the xi ladder, the
 per-degree normalizations sqrt(2*i+1)) live in the exact Scalar field, so
 basis conversions, antiderivatives and inner products are exact.
+
+Exact algebra runs in the unnormalized basis L_i = P_i / sqrt(2*i+1)
+(L_i(1) = 1), where every structural constant is rational:
+
+    tau * L_n = L_n / 2 + ((n+1) L_{n+1} + n L_{n-1}) / (2 (2n+1)),
+    L_n' = 2 * sum over k < n with n - k odd of (2k+1) L_k,
+    int_0^1 L_i L_j = delta_ij / (2i+1).
+
+``to_l``/``from_l`` convert coefficient lists, and ``tensor_to_l``/
+``tensor_from_l`` coefficient tensors such as a method's alpha.
+Products, powers of tau and the family tensors are radical-free there,
+and the orthonormal coefficients are only an input/output view.
+``l_mul`` and ``l_derivative`` act on plain coefficient tuples, so
+intermediate products are not bound by CAP.
+
+The monomial helpers (``mono_*``, ``to_monomial``, ``from_monomial``)
+are reference implementations for the tests; no exact certifier uses
+them.  ``legendre_monomial`` also feeds the float polynomials of the
+advisory step-size bound.
 """
 
 from __future__ import annotations
@@ -29,6 +48,15 @@ __all__ = [
     "inner_product",
     "legendre_monomial",
     "legendre_table",
+    "to_l",
+    "from_l",
+    "tensor_to_l",
+    "tensor_from_l",
+    "l_mul",
+    "l_sub",
+    "l_dot",
+    "l_derivative",
+    "l_to_monomial",
     "ONE",
     "TAU",
 ]
@@ -195,9 +223,7 @@ class UnivariatePoly:
         return antiderivative(self)
 
     def derivative(self) -> "UnivariatePoly":
-        mono = self.to_monomial()
-        dmono = [k * mono[k] for k in range(1, len(mono))]
-        return UnivariatePoly.from_monomial(dmono)
+        return UnivariatePoly(from_l(l_derivative(to_l(self.coeffs))))
 
     def to_monomial(self) -> tuple[Scalar, ...]:
         """Exact monomial coefficients (index k = coefficient of x**k)."""
@@ -265,7 +291,128 @@ def inner_product(u: UnivariatePoly, v: UnivariatePoly) -> Scalar:
     return total
 
 
-# -- exact monomial-basis helpers (used by the verifiers) -------------------
+# -- exact algebra in the unnormalized basis L_i = P_i / sqrt(2i+1) ---------
+
+_ZERO = Scalar(0)
+
+
+@lru_cache(maxsize=None)
+def _root(n: int, inverse: bool = False) -> Scalar:
+    return Scalar.sqrt(n, Fraction(1, n) if inverse else 1)
+
+
+def to_l(coeffs: Sequence[Scalar]) -> list[Scalar]:
+    """L-basis coefficients of sum_i coeffs[i] * P_i."""
+    return [c * _root(2 * i + 1) if c else c for i, c in enumerate(coeffs)]
+
+
+def from_l(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Orthonormal coefficients of sum_i coeffs[i] * L_i, trailing zeros trimmed."""
+    return _trim([c * _root(2 * i + 1, True) if c else c for i, c in enumerate(coeffs)])
+
+
+def _scale_tensor(t: Sequence[Sequence[Scalar]], inverse: bool) -> list[list[Scalar]]:
+    return [
+        [v * _root((2 * i + 1) * (2 * j + 1), inverse) if v else v for j, v in enumerate(row)]
+        for i, row in enumerate(t)
+    ]
+
+
+def tensor_to_l(alpha: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Coefficients of sum alpha[i][j] P_i(tau) P_j(sigma) on the L_i(tau) L_j(sigma)."""
+    return _scale_tensor(alpha, False)
+
+
+def tensor_from_l(t: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Coefficients of sum t[i][j] L_i(tau) L_j(sigma) on the P_i(tau) P_j(sigma)."""
+    return _scale_tensor(t, True)
+
+
+@lru_cache(maxsize=None)
+def _x_step_weights(n: int, k: int) -> tuple[Fraction, Fraction]:
+    scale = Fraction(2 * n + 1, (n + 1) * (2 * k + 1))
+    return scale * (k + 1), scale * k
+
+
+def _x_step(w: Sequence[Scalar], prev: Sequence[Scalar], n: int) -> list[Scalar]:
+    """W_{n+1} = ((2n+1) x W_n - n W_{n-1}) / (n+1), x = 2 tau - 1.
+
+    W_n = L_n * b for a fixed b; x L_k = ((k+1) L_{k+1} + k L_{k-1}) / (2k+1).
+    """
+    out = [_ZERO] * (len(w) + 1)
+    for k, c in enumerate(w):
+        if c:
+            up, down = _x_step_weights(n, k)
+            out[k + 1] = out[k + 1] + c * up
+            if k:
+                out[k - 1] = out[k - 1] + c * down
+    back = Fraction(n, n + 1)
+    for k, c in enumerate(prev):
+        if c:
+            out[k] = out[k] - c * back
+    return out
+
+
+def l_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Exact product of two L-basis coefficient lists, with no degree cap.
+
+    Sums a_n * (L_n b) over the shorter factor a, building L_n b by the
+    Legendre three-term recurrence; every multiplier is rational.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    prev: Sequence[Scalar] = ()
+    cur: Sequence[Scalar] = b
+    for n, c in enumerate(a):
+        if n:
+            prev, cur = cur, _x_step(cur, prev, n - 1)
+        if c:
+            for k, w in enumerate(cur):
+                if w:
+                    out[k] = out[k] + c * w
+    return _trim(out)
+
+
+def l_sub(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    n = max(len(a), len(b))
+    return _trim(
+        [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
+    )
+
+
+def l_dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+    """int_0^1 of the product of two L-basis polynomials."""
+    total = _ZERO
+    for i in range(min(len(a), len(b))):
+        if a[i] and b[i]:
+            total = total + a[i] * b[i] * Fraction(1, 2 * i + 1)
+    return total
+
+
+def l_derivative(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """d/dx of an L-basis polynomial, in the L basis (rational, exact)."""
+    out = [_ZERO] * max(len(a) - 1, 0)
+    tail = [_ZERO, _ZERO]  # a_m + a_{m+2} + ..., by the parity of m
+    for k in range(len(a) - 2, -1, -1):
+        tail[(k + 1) % 2] = tail[(k + 1) % 2] + a[k + 1]
+        out[k] = tail[(k + 1) % 2] * (4 * k + 2)
+    return _trim(out)
+
+
+def l_to_monomial(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Monomial coefficients (index k = coefficient of x**k) of an L-basis polynomial."""
+    out = [_ZERO] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            for k, m in enumerate(_shifted_mono(i)):
+                out[k] = out[k] + c * m
+    return _trim(out)
+
+
+# -- exact monomial-basis helpers (reference implementations) ---------------
 
 
 def mono_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:

@@ -6,6 +6,15 @@ is exactly zero.  Order conditions are checked directly up to order 4; the
 moment identities B/C/D deliver a guaranteed lower bound on the order
 beyond that.  The step-size contraction bound is the only numerical
 (advisory) quantity in the module.
+
+Products, projections and derivatives run in the unnormalized Legendre
+basis L_i = P_i/sqrt(2i+1) of ``legendre``: the tensor, B and C are
+converted once per certifier call, projections onto L_i are coefficients
+over 2i+1, and products and powers of C are exact ``l_mul`` products
+with no degree cap (rho probes C**19).  ``check_simplifying`` builds the powers of C once and shares
+them across its levels.  Results are converted back only at the end:
+tensors to orthonormal coefficients, the moment-identity defects to
+monomial coefficients.
 """
 
 from __future__ import annotations
@@ -18,12 +27,17 @@ import numpy as np
 
 from .exact import Scalar
 from .legendre import (
-    UnivariatePoly,
+    from_l,
+    l_derivative,
+    l_dot,
+    l_mul,
+    l_sub,
+    l_to_monomial,
     legendre_monomial,
     legendre_table,
-    mono_int01,
-    mono_mul,
-    mono_pow,
+    tensor_from_l,
+    tensor_to_l,
+    to_l,
 )
 from .method import CsrkMethod, EpSpec
 
@@ -66,23 +80,19 @@ def _max_abs(values) -> Scalar:
     return best
 
 
-def _project(mono: tuple[Scalar, ...], n: int) -> list[Scalar]:
-    """Exact projections <p, P_i> for i = 0..n of a monomial-basis poly."""
-    return [mono_int01(mono_mul(mono, legendre_monomial(i))) for i in range(n + 1)]
+def _at(seq, i: int) -> Scalar:
+    return seq[i] if i < len(seq) else _ZERO
 
 
-def _legendre_to_mono(coeffs) -> tuple[Scalar, ...]:
-    total: list[Scalar] = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        for k, m in enumerate(legendre_monomial(i)):
-            while len(total) <= k:
-                total.append(_ZERO)
-            total[k] = total[k] + c * m
-    while total and not total[-1]:
-        total.pop()
-    return tuple(total)
+def _columns(a, n: int) -> list[list[Scalar]]:
+    """The first n columns of a (ragged) coefficient matrix."""
+    return [[_at(row, j) for row in a] for j in range(n)]
+
+
+def _contract(rows, q) -> list[Scalar]:
+    """L coefficients of int_0^1 F(., s) q(s) ds, F given by its rows; all in the L basis."""
+    proj = [v * Fraction(1, 2 * j + 1) for j, v in enumerate(q)]
+    return [sum((v * w for v, w in zip(row, proj) if v and w), _ZERO) for row in rows]
 
 
 # -- order conditions --------------------------------------------------------
@@ -97,94 +107,36 @@ class OrderConditionResult:
         return not self.residuals[condition]
 
 
-def _fast_residuals(m: CsrkMethod) -> dict[int, Scalar]:
-    a = m.entry
-    r = {1: _ZERO, 2: _ZERO, 3: _ZERO, 5: _ZERO}
-    r[4] = a(0, 0) / 2 + Scalar.sqrt(3, Fraction(1, 6)) * a(0, 1) - Fraction(1, 6)
-    r[6] = (
-        a(0, 0) / 4
-        + Scalar.sqrt(3, Fraction(1, 12)) * (a(1, 0) + a(0, 1))
-        + a(1, 1) / 12
-        - Fraction(1, 8)
-    )
-    r[7] = (
-        a(0, 0) / 3
-        + Scalar.sqrt(3, Fraction(1, 6)) * a(0, 1)
-        + Scalar.sqrt(5, Fraction(1, 30)) * a(0, 2)
-        - Fraction(1, 12)
-    )
-    s8 = _ZERO
-    for i in range(m.pi_sigma + 1):
-        s8 = s8 + a(0, i) * (a(i, 0) / 2 + Scalar.sqrt(3, Fraction(1, 6)) * a(i, 1))
-    r[8] = s8 - Fraction(1, 24)
-    return r
-
-
-def _general_residuals(m: CsrkMethod) -> dict[int, Scalar]:
-    bm = _legendre_to_mono(m.B.coeffs)
-    cm = _legendre_to_mono(m.C.coeffs)
-    r = {
-        1: mono_int01(bm) - 1,
-        2: mono_int01(mono_mul(bm, cm)) - Fraction(1, 2),
-        3: mono_int01(mono_mul(bm, mono_pow(cm, 2))) - Fraction(1, 3),
-        5: mono_int01(mono_mul(bm, mono_pow(cm, 3))) - Fraction(1, 4),
-    }
-    beta = _project(bm, m.pi_tau)
-    beta_c = _project(mono_mul(bm, cm), m.pi_tau)
-    gamma = _project(cm, m.pi_sigma)
-    gamma2 = _project(mono_pow(cm, 2), m.pi_sigma)
-
-    def bilinear(left, right):
-        total = _ZERO
-        for i, row in enumerate(m.alpha):
-            for j, v in enumerate(row):
-                if v:
-                    total = total + v * left[i] * right[j]
-        return total
-
-    r[4] = bilinear(beta, gamma) - Fraction(1, 6)
-    r[6] = bilinear(beta_c, gamma) - Fraction(1, 8)
-    r[7] = bilinear(beta, gamma2) - Fraction(1, 12)
-    # condition (8): project both A-contractions onto the shared sigma basis
-    n = max(m.pi_tau, m.pi_sigma)
-    left = [_ZERO] * (n + 1)  # coefficients of int B(t) A(t, s) dt
-    for j in range(m.pi_sigma + 1):
-        for i in range(m.pi_tau + 1):
-            left[j] = left[j] + m.entry(i, j) * beta[i]
-    right = [_ZERO] * (n + 1)  # coefficients of int A(s, r) C(r) dr
-    for i in range(m.pi_tau + 1):
-        for j in range(m.pi_sigma + 1):
-            right[i] = right[i] + m.entry(i, j) * gamma[j]
-    total = _ZERO
-    for k in range(n + 1):
-        total = total + left[k] * right[k]
-    r[8] = total - Fraction(1, 24)
-    return r
-
-
-def order_condition_residuals(m: CsrkMethod, path: str = "auto") -> dict[int, Scalar]:
+def order_condition_residuals(m: CsrkMethod) -> dict[int, Scalar]:
     """Residuals of the eight order conditions, exactly.
 
-    path "fast" uses the reduced coefficient relations (valid only for
-    B = 1, C = tau); "general" evaluates the defining integrals by exact
-    polynomial algebra; "auto" picks the fast path when admissible.
+    The defining integrals are evaluated in the L basis, where
+    int L_i L_j = delta_ij / (2i+1); for B = 1, C = tau they reduce to the
+    paper's coefficient relations (4), (6), (7) and (8).
     """
-    fast_ok = m.is_b_one() and m.is_c_tau()
-    if path == "fast" or (path == "auto" and fast_ok):
-        if not fast_ok:
-            raise ValueError("fast path requires B = 1 and C = tau")
-        return _fast_residuals(m)
-    if path not in ("auto", "general"):
-        raise ValueError(f"unknown path {path!r}")
-    return _general_residuals(m)
+    a = tensor_to_l(m.alpha)
+    cols = _columns(a, m.pi_sigma + 1)
+    b, c = to_l(m.B.coeffs), to_l(m.C.coeffs)
+    bc, cc = l_mul(b, c), l_mul(c, c)
+    left = _contract(cols, b)  # int B(t) A(t, s) dt
+    return {
+        1: (b[0] if b else _ZERO) - 1,
+        2: l_dot(b, c) - Fraction(1, 2),
+        3: l_dot(bc, c) - Fraction(1, 3),
+        4: l_dot(left, c) - Fraction(1, 6),
+        5: l_dot(bc, cc) - Fraction(1, 4),
+        6: l_dot(_contract(cols, bc), c) - Fraction(1, 8),
+        7: l_dot(left, cc) - Fraction(1, 12),
+        8: l_dot(left, _contract(a, c)) - Fraction(1, 24),
+    }
 
 
 _CONDITIONS_BY_ORDER = {1: (1,), 2: (1, 2), 3: (1, 2, 3, 4), 4: tuple(range(1, 9))}
 
 
-def check_order_conditions(m: CsrkMethod, path: str = "auto") -> OrderConditionResult:
+def check_order_conditions(m: CsrkMethod) -> OrderConditionResult:
     """Largest directly verified order in 0..4 plus per-condition residuals."""
-    residuals = order_condition_residuals(m, path)
+    residuals = order_condition_residuals(m)
     order = 0
     for p in (1, 2, 3, 4):
         if all(not residuals[c] for c in _CONDITIONS_BY_ORDER[p]):
@@ -204,78 +156,63 @@ class SimplifyingLevels:
     zeta: int
 
 
-def _mono_sub(a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    n = max(len(a), len(b))
-    out = [a[i] if i < len(a) else _ZERO for i in range(n)]
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+class _Moments:
+    """A method in the L basis with the ladders C**k and B*C**k, built on demand."""
+
+    def __init__(self, m: CsrkMethod):
+        self.a = tensor_to_l(m.alpha)
+        self.cols = _columns(self.a, m.pi_sigma + 1)
+        self.b = tuple(to_l(m.B.coeffs))
+        self.c = tuple(to_l(m.C.coeffs))
+        self.c_pow = [(Scalar(1),)]
+        self.bc_pow = [self.b]
+
+    def power(self, ladder: list, k: int) -> tuple[Scalar, ...]:
+        while len(ladder) <= k:
+            ladder.append(l_mul(self.c, ladder[-1]))
+        return ladder[k]
+
+    def c_breve(self, k: int) -> tuple[Scalar, ...]:
+        """L coefficients of int A C^(k-1) dsigma - C^k / k."""
+        lhs = _contract(self.a, self.power(self.c_pow, k - 1))
+        return l_sub(lhs, [v * Fraction(1, k) for v in self.power(self.c_pow, k)])
+
+    def d_breve(self, k: int) -> tuple[Scalar, ...]:
+        """L coefficients of int B C^(k-1) A dtau - B (1 - C^k) / k."""
+        lhs = _contract(self.cols, self.power(self.bc_pow, k - 1))
+        rhs = l_sub(self.b, self.power(self.bc_pow, k))
+        return l_sub(lhs, [v * Fraction(1, k) for v in rhs])
 
 
 def c_breve_defect(m: CsrkMethod, k: int) -> tuple[Scalar, ...]:
     """Monomial coefficients (in tau) of int A C^(k-1) dsigma - C^k / k."""
-    cm = _legendre_to_mono(m.C.coeffs)
-    proj = _project(mono_pow(cm, k - 1), m.pi_sigma)
-    lhs_coeffs = []
-    for i in range(m.pi_tau + 1):
-        acc = _ZERO
-        for j in range(m.pi_sigma + 1):
-            acc = acc + m.entry(i, j) * proj[j]
-        lhs_coeffs.append(acc)
-    rhs = tuple(c / k for c in mono_pow(cm, k))
-    return _mono_sub(_legendre_to_mono(lhs_coeffs), rhs)
+    return l_to_monomial(_Moments(m).c_breve(k))
 
 
 def d_breve_defect(m: CsrkMethod, k: int) -> tuple[Scalar, ...]:
     """Monomial coefficients (in sigma) of int B C^(k-1) A dtau - B (1 - C^k) / k."""
-    bm = _legendre_to_mono(m.B.coeffs)
-    cm = _legendre_to_mono(m.C.coeffs)
-    proj = _project(mono_mul(bm, mono_pow(cm, k - 1)), m.pi_tau)
-    lhs_coeffs = []
-    for j in range(m.pi_sigma + 1):
-        acc = _ZERO
-        for i in range(m.pi_tau + 1):
-            acc = acc + m.entry(i, j) * proj[i]
-        lhs_coeffs.append(acc)
-    ck = mono_pow(cm, k)
-    one_minus = [Scalar(1)] + [_ZERO] * (max(len(ck), 1) - 1)
-    for idx, c in enumerate(ck):
-        one_minus[idx] = one_minus[idx] - c
-    rhs = tuple(c / k for c in mono_mul(bm, tuple(one_minus)))
-    return _mono_sub(_legendre_to_mono(lhs_coeffs), rhs)
+    return l_to_monomial(_Moments(m).d_breve(k))
 
 
 def check_simplifying(m: CsrkMethod, cap: int = 10) -> SimplifyingLevels:
     """Largest levels of the moment identities, checked exactly.
 
-    rho is probed to 2*cap and reported as infinity for B = 1, C = tau
-    (where the weight moments hold at every level).
+    rho is infinity for B = 1, C = tau (where the weight moments hold at
+    every level) and is otherwise probed to 2*cap.  The powers of C are
+    built once and shared by the three levels.
     """
-    bm = _legendre_to_mono(m.B.coeffs)
-    cm = _legendre_to_mono(m.C.coeffs)
-
-    rho = 0
-    for k in range(1, 2 * cap + 1):
-        if mono_int01(mono_mul(bm, mono_pow(cm, k - 1))) != Fraction(1, k):
-            break
-        rho += 1
-    rho_out: float = math.inf if (m.is_b_one() and m.is_c_tau() and rho == 2 * cap) else rho
-
-    eta = 0
-    for k in range(1, cap + 1):
-        if c_breve_defect(m, k):
-            break
-        eta += 1
-
-    zeta = 0
-    for k in range(1, cap + 1):
-        if d_breve_defect(m, k):
-            break
-        zeta += 1
-
-    return SimplifyingLevels(rho_out, eta, zeta)
+    mom = _Moments(m)
+    rho: float = 0
+    if m.is_b_one() and m.is_c_tau():
+        rho = math.inf
+    else:
+        for k in range(1, 2 * cap + 1):
+            if l_dot(mom.b, mom.power(mom.c_pow, k - 1)) != Fraction(1, k):
+                break
+            rho += 1
+    eta = next((k - 1 for k in range(1, cap + 1) if mom.c_breve(k)), cap)
+    zeta = next((k - 1 for k in range(1, cap + 1) if mom.d_breve(k)), cap)
+    return SimplifyingLevels(rho, eta, zeta)
 
 
 def guaranteed_order(m: CsrkMethod, cap: int = 10) -> int:
@@ -287,37 +224,20 @@ def guaranteed_order(m: CsrkMethod, cap: int = 10) -> int:
 # -- geometric property residuals ---------------------------------------------
 
 
-def _pad(matrix: list[list[Scalar]], n: int) -> list[list[Scalar]]:
-    out = [[_ZERO] * n for _ in range(n)]
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            out[i][j] = v
-    return out
-
-
-def _b_times_tensor(m: CsrkMethod) -> list[list[Scalar]]:
-    """Tensor coefficients of B(tau) * A(tau, sigma)."""
-    ncols = m.pi_sigma + 1
-    cols = []
-    for j in range(ncols):
-        col_poly = UnivariatePoly([m.entry(i, j) for i in range(m.pi_tau + 1)])
-        prod = mono_mul(_legendre_to_mono(m.B.coeffs), _legendre_to_mono(col_poly.coeffs))
-        cols.append(UnivariatePoly.from_monomial(prod).coeffs)
-    nrows = max((len(c) for c in cols), default=1)
-    return [[cols[j][i] if i < len(cols[j]) else _ZERO for j in range(ncols)] for i in range(nrows)]
-
-
 def symplectic_defect(m: CsrkMethod) -> list[list[Scalar]]:
     """Tensor coefficients of B(t)A(t,s) + B(s)A(s,t) - B(t)B(s)."""
-    t1 = _b_times_tensor(m)
-    n = max(len(t1), len(t1[0]) if t1 else 0, len(m.B.coeffs))
-    t1 = _pad(t1, n)
-    b = [m.B.coeff(i) for i in range(n)]
-    out = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = t1[i][j] + t1[j][i] - b[i] * b[j]
-    return out
+    b = to_l(m.B.coeffs)
+    ncols = m.pi_sigma + 1
+    # B(tau) * A(tau, sigma), column by column
+    cols = [l_mul(b, col) for col in _columns(tensor_to_l(m.alpha), ncols)]
+    n = max(max(len(col) for col in cols), ncols, len(b))
+
+    def t(i: int, j: int) -> Scalar:
+        return _at(cols[j], i) if j < ncols else _ZERO
+
+    return tensor_from_l(
+        [[t(i, j) + t(j, i) - _at(b, i) * _at(b, j) for j in range(n)] for i in range(n)]
+    )
 
 
 def symplectic_residual(m: CsrkMethod) -> Scalar:
@@ -352,49 +272,23 @@ def symmetric_residual(m: CsrkMethod) -> Scalar:
     return _max_abs(v for row in symmetric_defect(m) for v in row)
 
 
-def _derivative_matrix(n: int) -> list[list[Scalar]]:
-    """d[k][i] = coefficient of P_k in P_i'."""
-    out = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dcoeffs = UnivariatePoly([0] * i + [1]).derivative().coeffs
-        for k, v in enumerate(dcoeffs):
-            out[k][i] = v
-    return out
-
-
 def energy_preserving_defect(
     m: CsrkMethod,
-) -> tuple[list[list[Scalar]], list[Scalar], list[Scalar]]:
+) -> tuple[list[list[Scalar]], tuple[Scalar, ...], tuple[Scalar, ...]]:
     """The three defect arrays of the energy-preservation certificate.
 
     (1) asymmetry of the tau-derivative of A, (2) coefficients of A(0, .),
     (3) coefficients of A(1, .) - B.
     """
     n = max(m.pi_tau, m.pi_sigma, m.B.degree)
-    d = _derivative_matrix(n)
-    a = _pad([list(r) for r in m.alpha], n + 1)
-    da = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for j in range(n + 1):
-            acc = _ZERO
-            for i in range(n + 1):
-                if d[k][i] and a[i][j]:
-                    acc = acc + d[k][i] * a[i][j]
-            da[k][j] = acc
-    asym = [
-        [da[i][j] - da[j][i] for j in range(n + 1)] for i in range(n + 1)
-    ]
-    at0 = []
-    at1 = []
-    for j in range(n + 1):
-        v0 = _ZERO
-        v1 = _ZERO
-        for i in range(m.pi_tau + 1):
-            norm = Scalar.sqrt(2 * i + 1)
-            v1 = v1 + norm * m.entry(i, j)
-            v0 = v0 + ((-1) ** i) * norm * m.entry(i, j)
-        at0.append(v0)
-        at1.append(v1 - m.B.coeff(j))
+    cols = _columns(tensor_to_l(m.alpha), n + 1)  # A column by column, in tau
+    da = [l_derivative(col) for col in cols]
+    asym = tensor_from_l(
+        [[_at(da[j], i) - _at(da[i], j) for j in range(n + 1)] for i in range(n + 1)]
+    )
+    # L_i(0) = (-1)**i and L_i(1) = 1
+    at0 = from_l([sum((-v if i % 2 else v for i, v in enumerate(col)), _ZERO) for col in cols])
+    at1 = from_l(l_sub([sum(col, _ZERO) for col in cols], to_l(m.B.coeffs)))
     return asym, at0, at1
 
 

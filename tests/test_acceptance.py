@@ -162,21 +162,28 @@ def test_a01_consistency_certificate():
 # -- 2. reduced coefficient relations -------------------------------------------
 
 
-def test_a02_fast_path_equals_general_path():
+def test_a02_reduced_coefficient_relations():
+    # For B = 1, C = tau the order-condition integrals reduce to the paper's
+    # coefficient relations (4), (6), (7) and (8), written out here.
     rng = random.Random(1002)
+    s5 = Scalar.sqrt(5, Fraction(1, 30))
     for _ in range(50):
         m = random_tau_method(rng)
-        fast = order_condition_residuals(m, path="fast")
-        general = order_condition_residuals(m, path="general")
-        assert fast == general
-        # spot-check the reduced relations directly
-        assert fast[4] == m.entry(0, 0) / 2 + S36 * m.entry(0, 1) - Fraction(1, 6)
-        assert fast[7] == (
-            m.entry(0, 0) / 3
-            + S36 * m.entry(0, 1)
-            + Scalar.sqrt(5, Fraction(1, 30)) * m.entry(0, 2)
-            - Fraction(1, 12)
-        )
+        a = m.entry
+        s8 = Scalar(0)
+        for i in range(m.pi_sigma + 1):
+            s8 = s8 + a(0, i) * (a(i, 0) / 2 + S36 * a(i, 1))
+        reduced = {
+            1: 0,
+            2: 0,
+            3: 0,
+            5: 0,
+            4: a(0, 0) / 2 + S36 * a(0, 1) - Fraction(1, 6),
+            6: a(0, 0) / 4 + S36 / 2 * (a(1, 0) + a(0, 1)) + a(1, 1) / 12 - Fraction(1, 8),
+            7: a(0, 0) / 3 + S36 * a(0, 1) + s5 * a(0, 2) - Fraction(1, 12),
+            8: s8 - Fraction(1, 24),
+        }
+        assert order_condition_residuals(m) == reduced
     announce(2, "reduced-coefficient-relations")
 
 
@@ -403,7 +410,7 @@ def test_a10_oracle_quadrature_equivalence():
         wc = W30 * cv
 
         # order conditions
-        exact = order_condition_residuals(m, path="general")
+        exact = order_condition_residuals(m)
         one = np.longdouble(1)
         approx = {
             1: wb.sum() - one,

@@ -238,7 +238,7 @@ def test_construct_ep_general_derives_weight_polynomial(tmp_path, capsys):
     assert report["flags"]["energy_preserving"] is True
 
 
-def test_missing_required_parameter_is_domain_error(tmp_path, capsys):
+def test_missing_required_parameter_is_usage_error(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "construct", "--family", "order", "--out", str(tmp_path / "x.json")
     )

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csrk.exact import Scalar, as_scalar
 
@@ -112,3 +115,59 @@ def test_as_scalar_coercions():
     assert as_scalar(Fraction(3, 4)) == Scalar(Fraction(3, 4))
     s = Scalar.sqrt(7)
     assert as_scalar(s) is s
+
+
+def test_sign_near_cancellation():
+    # sqrt(2) minus its 65-digit truncation is +7.3e-67
+    v = Scalar.sqrt(2) - Fraction(
+        141421356237309504880168872420969807856967187537694807317667973799, 10**65
+    )
+    assert v.sign() == 1
+    assert abs(v) == v
+    assert -v < 0 < v
+    assert (-v).sign() == -1
+
+
+_RADICANDS = (1, 2, 3, 5, 6, 7, 10, 15, 35)
+_TERMS = st.lists(
+    st.tuples(
+        st.sampled_from(_RADICANDS),
+        st.fractions(min_value=-5, max_value=5, max_denominator=50),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mp_value(terms):
+    return mpmath.fsum(mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(r) for r, q in terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_TERMS, digits=st.integers(0, 90), nudge=st.integers(-2, 2))
+def test_sign_against_mpmath_oracle(terms, digits, nudge):
+    """Subtract a digits-long truncation of the value, so most cases nearly cancel."""
+    with mpmath.workdps(200):
+        approx = Fraction(int(mpmath.floor(_mp_value(terms) * 10**digits)) + nudge, 10**digits)
+        v = Scalar(0)
+        for r, q in terms:
+            v = v + Scalar.sqrt(r, q)
+        v = v - approx
+        exact = _mp_value(terms) - mpmath.mpf(approx.numerator) / approx.denominator
+        # the value is rational exactly when its radical parts cancel
+        expected = 0 if v.is_rational and v.as_fraction() == 0 else (1 if exact > 0 else -1)
+    assert v.sign() == expected
+    assert (abs(v) == v) == (expected >= 0)
+
+
+def test_hash_agrees_with_fraction_and_int():
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(Scalar(3)) == hash(3) == hash(Fraction(3))
+    assert hash(Scalar(0)) == hash(0)
+    table = {Fraction(1, 2): "half", 3: "three", Scalar.sqrt(2): "root"}
+    assert table[Scalar(Fraction(1, 2))] == "half"
+    assert table[Scalar(3)] == "three"
+    assert table[Scalar.sqrt(8) / 2] == "root"
+    keys = {Scalar(Fraction(1, 2)), Fraction(1, 2), Scalar(2), 2}
+    keys |= {Scalar.sqrt(3), Scalar.sqrt(12) / 2}
+    assert len(keys) == 3

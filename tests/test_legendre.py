@@ -15,11 +15,17 @@ from csrk.legendre import (
     antiderivative,
     eval_legendre,
     inner_product,
+    from_l,
+    l_derivative,
+    l_mul,
+    l_to_monomial,
     legendre_monomial,
     legendre_table,
     mono_int01,
     mono_mul,
+    mono_pow,
     monomial_to_legendre,
+    to_l,
     xi,
 )
 
@@ -194,3 +200,84 @@ def test_legendre_table_matches_pointwise():
     table = legendre_table(8, xs)
     for i in range(9):
         assert np.max(np.abs(table[i] - eval_legendre(i, xs))) < 1e-13
+
+
+# -- unnormalized basis L_i = P_i / sqrt(2i+1) ------------------------------------
+
+
+def random_l_coeffs(rng, n, radicals=False):
+    """n coefficients with nonzero rational parts, so the degree is n - 1."""
+    out = []
+    for _ in range(n):
+        v = Scalar(Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.randrange(1, 5)))
+        if radicals:
+            v = v + Scalar.sqrt(rng.choice((2, 3, 5)), Fraction(rng.randrange(-2, 3), 3))
+        out.append(v)
+    return out
+
+
+def reference_monomial(coeffs):
+    """Monomial form via the orthonormal basis and legendre_monomial (degree <= CAP)."""
+    return UnivariatePoly(from_l(coeffs)).to_monomial()
+
+
+def test_l_basis_tau_operator():
+    # tau = (L_0 + L_1) / 2 and tau L_n = L_n/2 + ((n+1) L_{n+1} + n L_{n-1}) / (2(2n+1))
+    tau = [Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2))]
+    assert from_l(tau) == TAU.coeffs
+    for n in range(1, 12):
+        unit = [Scalar(0)] * n + [Scalar(1)]
+        expected = [Scalar(0)] * (n + 2)
+        expected[n - 1] = Scalar(Fraction(n, 2 * (2 * n + 1)))
+        expected[n] = Scalar(Fraction(1, 2))
+        expected[n + 1] = Scalar(Fraction(n + 1, 2 * (2 * n + 1)))
+        assert l_mul(tau, unit) == tuple(expected)
+
+
+def test_l_mul_matches_monomial_reference():
+    rng = random.Random(17)
+    for da, db in [(0, 0), (1, 5), (4, 4), (7, 2), (20, 25), (32, 32)]:
+        a = random_l_coeffs(rng, da + 1, radicals=da < 8)
+        b = random_l_coeffs(rng, db + 1, radicals=db < 8)
+        product = l_mul(a, b)
+        assert l_mul(b, a) == product
+        # degree da + db may pass CAP: the product is not capped
+        assert len(product) == da + db + 1
+        assert l_to_monomial(product) == mono_mul(reference_monomial(a), reference_monomial(b))
+
+
+def test_l_mul_powers_pass_the_basis_cap():
+    rng = random.Random(19)
+    c = random_l_coeffs(rng, 4)
+    power = (Scalar(1),)
+    for k in range(1, 15):
+        power = l_mul(c, power)
+    assert len(power) == 3 * 14 + 1 > CAP + 1
+    assert l_to_monomial(power) == mono_pow(reference_monomial(c), 14)
+
+
+def test_l_to_monomial_matches_reference():
+    rng = random.Random(21)
+    for n in (1, 2, 6, 15, 33):
+        a = random_l_coeffs(rng, n, radicals=True)
+        assert l_to_monomial(a) == reference_monomial(a)
+
+
+def test_derivative_matches_monomial_reference():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 9, 20, 33):
+        a = random_l_coeffs(rng, n, radicals=n < 10)
+        mono = reference_monomial(a)
+        expected = tuple(k * mono[k] for k in range(1, len(mono)))
+        assert l_to_monomial(l_derivative(a)) == expected
+        p = UnivariatePoly(from_l(a))
+        assert p.derivative().to_monomial() == expected
+    # degree beyond the cap: d/dx x**40 = 40 x**39 through the L basis
+    x40 = [Scalar(0)] * 41
+    x40[40] = Scalar(1)
+    power = (Scalar(1),)
+    for _ in range(40):
+        power = l_mul((Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2))), power)
+    assert l_to_monomial(power) == tuple(x40)
+    assert l_to_monomial(l_derivative(power)) == tuple([Scalar(0)] * 39 + [Scalar(40)])
+

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from csrk.exact import Scalar
-from csrk.legendre import ONE, TAU, UnivariatePoly, legendre_table, xi
+from csrk.legendre import (
+    ONE,
+    TAU,
+    UnivariatePoly,
+    legendre_monomial,
+    legendre_table,
+    mono_int01,
+    mono_mul,
+    mono_pow,
+    xi,
+)
 from csrk.method import (
     EpSpec,
     construct_ep_legendre,
@@ -17,9 +27,11 @@ from csrk.method import (
 )
 from csrk.verify import (
     build_property_report,
+    c_breve_defect,
     check_epm2_condition,
     check_order_conditions,
     check_simplifying,
+    d_breve_defect,
     energy_preserving_residual,
     guaranteed_order,
     order_condition_residuals,
@@ -84,22 +96,45 @@ def test_avf_is_directly_order_2():
     assert res.residuals[4] == Fraction(1, 4) - Fraction(1, 6)
 
 
-def test_constant_node_polynomial_exercises_general_path():
+def test_constant_node_polynomial_order_residuals():
+    # A = 1/2, B = 1, C = 1/2: every defining integral is a product of halves
     m = new_method([[HALF]], ONE, UnivariatePoly([HALF]))
     res = check_order_conditions(m)
     assert res.order == 2
-    assert res.residuals[3] == Fraction(1, 4) - Fraction(1, 3)
-    with pytest.raises(ValueError):
-        order_condition_residuals(m, path="fast")
+    expected = {
+        1: 0,
+        2: 0,
+        3: Fraction(1, 4) - Fraction(1, 3),
+        4: Fraction(1, 4) - Fraction(1, 6),
+        5: Fraction(1, 8) - Fraction(1, 4),
+        6: Fraction(1, 8) - Fraction(1, 8),
+        7: Fraction(1, 8) - Fraction(1, 12),
+        8: Fraction(1, 8) - Fraction(1, 24),
+    }
+    assert res.residuals == {c: Scalar(v) for c, v in expected.items()}
 
 
-def test_fast_and_general_paths_agree_exactly():
+def test_order_residuals_match_reduced_relations():
+    """For B = 1, C = tau the residuals are the paper's relations (4), (6), (7), (8)."""
     rng = random.Random(101)
+    s5 = Scalar.sqrt(5, Fraction(1, 30))
     for _ in range(50):
         m = random_tau_method(rng)
-        fast = order_condition_residuals(m, path="fast")
-        general = order_condition_residuals(m, path="general")
-        assert fast == general
+        a = m.entry
+        s8 = Scalar(0)
+        for i in range(m.pi_sigma + 1):
+            s8 = s8 + a(0, i) * (a(i, 0) / 2 + S36 * a(i, 1))
+        reduced = {
+            1: 0,
+            2: 0,
+            3: 0,
+            5: 0,
+            4: a(0, 0) / 2 + S36 * a(0, 1) - Fraction(1, 6),
+            6: a(0, 0) / 4 + S36 / 2 * (a(1, 0) + a(0, 1)) + a(1, 1) / 12 - Fraction(1, 8),
+            7: a(0, 0) / 3 + S36 * a(0, 1) + s5 * a(0, 2) - Fraction(1, 12),
+            8: s8 - Fraction(1, 24),
+        }
+        assert order_condition_residuals(m) == reduced
 
 
 def quad_order_conditions(m):
@@ -128,7 +163,7 @@ def test_order_condition_residuals_match_quadrature_oracle():
         random_general_method(rng, 5, 5) for _ in range(10)
     ]
     for m in methods:
-        exact = order_condition_residuals(m, path="general")
+        exact = order_condition_residuals(m)
         approx = quad_order_conditions(m)
         for c in range(1, 9):
             assert float(exact[c]) == pytest.approx(approx[c], abs=1e-12)
@@ -148,6 +183,60 @@ def test_simplifying_levels_for_named_methods():
     assert lv3.eta == 1 and lv3.zeta == 0
     lv4 = check_simplifying(construct_simplifying(1, 2))
     assert lv4.eta == 1 and lv4.zeta == 2
+
+
+def mono_breve_defects(m, k):
+    """Monomial-basis reference for the C- and D-defects, by exact projection."""
+
+    def mono(coeffs):
+        return UnivariatePoly(coeffs).to_monomial()
+
+    def project(p, n):
+        return [mono_int01(mono_mul(p, legendre_monomial(i))) for i in range(n + 1)]
+
+    def minus(a, b):
+        n = max(len(a), len(b))
+        out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    rows, cols = range(m.pi_tau + 1), range(m.pi_sigma + 1)
+    bm, cm = mono(m.B.coeffs), mono(m.C.coeffs)
+    proj = project(mono_pow(cm, k - 1), m.pi_sigma)
+    lhs = [sum((m.entry(i, j) * proj[j] for j in cols), Scalar(0)) for i in rows]
+    c_def = minus(mono(lhs), [v / k for v in mono_pow(cm, k)])
+    proj = project(mono_mul(bm, mono_pow(cm, k - 1)), m.pi_tau)
+    lhs = [sum((m.entry(i, j) * proj[i] for i in rows), Scalar(0)) for j in cols]
+    rhs = minus(bm, mono_mul(bm, mono_pow(cm, k)))
+    d_def = minus(mono(lhs), [v / k for v in rhs])
+    return c_def, d_def
+
+
+def test_breve_defects_match_monomial_reference():
+    rng = random.Random(71)
+    methods = [construct_simplifying(2, 1), avf_method()]
+    methods += [random_general_method(rng, 3, 3, bdeg=1) for _ in range(4)]
+    for m in methods:
+        for k in (1, 2, 3):
+            assert (c_breve_defect(m, k), d_breve_defect(m, k)) == mono_breve_defects(m, k)
+
+
+def test_check_simplifying_power_ladder_passes_the_basis_cap():
+    # ep-general has B = C' and C(0) = 0; with int B = 1 every weight moment
+    # int B C^(k-1) = 1/k holds, so rho probes C^19, here of degree 38 > CAP
+    from csrk.method import construct_ep_general
+
+    g = UnivariatePoly([1, Fraction(1, 2)])
+    m = construct_ep_general(EpSpec((Scalar(1),), (g,))).method
+    assert m.C.degree == 2 and not m.is_c_tau()
+    lv = check_simplifying(m)
+    assert lv.rho == 20
+    bm, cm = m.B.to_monomial(), m.C.to_monomial()
+    for k in range(1, 21):
+        assert mono_int01(mono_mul(bm, mono_pow(cm, k - 1))) == Fraction(1, k)
+    assert len(mono_pow(cm, 19)) == 39
+    assert (lv.eta, lv.zeta) == (1, 0)
 
 
 def test_guaranteed_order_examples():
