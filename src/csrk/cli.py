@@ -3,14 +3,18 @@
 Exit codes: 0 success, 1 domain error (constraint violations and invalid
 parameters), 2 I/O or parse error, 3 stage-solver non-convergence.  Errors
 are emitted as one-line JSON objects on stderr.  Every command that writes
-files also writes a run manifest (written last, so a manifest implies the
-listed outputs exist).
+files computes all of them first and then writes them through one writer,
+which removes the stale run manifest, puts each output in place by
+renaming a complete temporary file over it, and writes the new manifest
+last the same way, so a manifest only ever names complete outputs of the
+run it describes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -97,7 +101,34 @@ def _load_tableau(path: str):
         raise _InputError(str(exc)) from exc
 
 
-def _write_manifest(command: str, args, inputs: list[str], outputs: list[str], started: float):
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _replace(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_outputs(command: str, args, inputs: list[str], outputs: dict[str, str], started: float):
+    """Write {path: text} outputs, then the run manifest named after the first.
+
+    The stale manifest is deleted before any output is replaced, so a run
+    interrupted midway leaves no manifest rather than one naming its
+    half-written outputs.
+    """
+    stem = Path(next(iter(outputs))).with_suffix("")
+    manifest_path = stem.parent / (stem.name + ".manifest.json")
+    manifest_path.unlink(missing_ok=True)
+    for path, text in outputs.items():
+        _replace(Path(path), text)
     params = {
         k: v for k, v in vars(args).items() if k != "func" and not callable(v)
     }
@@ -106,14 +137,10 @@ def _write_manifest(command: str, args, inputs: list[str], outputs: list[str], s
         "inputs": inputs,
         "parameters": params,
         "version": __version__,
-        "outputs": outputs,
+        "outputs": list(outputs),
         "wall_time_s": time.perf_counter() - started,
     }
-    stem = Path(outputs[0]) if outputs else Path(f"{command}")
-    path = stem.with_suffix("").parent / (stem.with_suffix("").name + ".manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _replace(manifest_path, _json_text(manifest))
 
 
 def _parse_set_entries(pairs) -> dict[tuple[int, int], Scalar]:
@@ -179,15 +206,11 @@ def cmd_construct(args) -> int:
         method = result.method
         extra = f" c_matches_tau={result.c_matches_tau}"
 
-    with open(args.out, "w") as fh:
-        json.dump(method_to_json_dict(method), fh, indent=2)
-        fh.write("\n")
-    report_path = _sidecar(args.out, "report")
     report = build_property_report(method)
-    with open(report_path, "w") as fh:
-        json.dump(report_to_json_dict(report), fh, indent=2)
-        fh.write("\n")
-    _write_manifest("construct", args, [], [args.out, report_path], started)
+    _write_outputs("construct", args, [], {
+        args.out: _json_text(method_to_json_dict(method)),
+        _sidecar(args.out, "report"): _json_text(report_to_json_dict(report)),
+    }, started)
     print(
         f"constructed {method.label}: guaranteed_order={report.guaranteed_order} "
         f"verified_order_direct={report.verified_order_direct} flags={report.flags}{extra}"
@@ -217,13 +240,6 @@ def cmd_discretize(args) -> int:
     else:
         rule = lobatto(args.stages)
     tableau = discretize(method, rule)
-    if args.format == "json":
-        with open(args.out, "w") as fh:
-            json.dump(tableau_to_json_dict(tableau), fh, indent=2)
-            fh.write("\n")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(tableau_to_csv(tableau))
     info = {
         "rk_symplectic_residual": rk_symplectic_residual(tableau),
         "quadrature": {"rule": args.rule, "stages": args.stages, "order": rule.order},
@@ -232,11 +248,14 @@ def cmd_discretize(args) -> int:
         info["predicted_rk_order"] = predicted_rk_order(method, rule)
     except ValueError:
         info["predicted_rk_order"] = None
-    info_path = _sidecar(args.out, "info")
-    with open(info_path, "w") as fh:
-        json.dump(info, fh, indent=2)
-        fh.write("\n")
-    _write_manifest("discretize", args, [args.method], [args.out, info_path], started)
+    if args.format == "json":
+        table = _json_text(tableau_to_json_dict(tableau))
+    else:
+        table = tableau_to_csv(tableau)
+    _write_outputs("discretize", args, [args.method], {
+        args.out: table,
+        _sidecar(args.out, "info"): _json_text(info),
+    }, started)
     print(
         f"{tableau.provenance}: s={tableau.stages} "
         f"predicted_rk_order={info['predicted_rk_order']} "
@@ -287,13 +306,10 @@ def cmd_integrate(args) -> int:
     diag["invariant_drifts"] = {
         name: invariant_drift(traj, problem, name) for name in problem.invariants
     }
-    with open(args.out, "w") as fh:
-        fh.write(trajectory_to_csv(traj))
-    diag_path = _sidecar(args.out, "diagnostics")
-    with open(diag_path, "w") as fh:
-        json.dump(diag, fh, indent=2)
-        fh.write("\n")
-    _write_manifest("integrate", args, [args.tableau], [args.out, diag_path], started)
+    _write_outputs("integrate", args, [args.tableau], {
+        args.out: trajectory_to_csv(traj),
+        _sidecar(args.out, "diagnostics"): _json_text(diag),
+    }, started)
     drift = diag["energy_drift"]
     print(
         f"problem={problem.name} h={args.h:g} steps={args.steps} "
@@ -319,10 +335,7 @@ def cmd_convergence(args) -> int:
     diag["errors"] = list(est.errors)
     diag["h_values"] = list(est.h_values)
     diag["saturated"] = est.saturated
-    with open(args.out, "w") as fh:
-        json.dump(diag, fh, indent=2)
-        fh.write("\n")
-    _write_manifest("convergence", args, [args.tableau], [args.out], started)
+    _write_outputs("convergence", args, [args.tableau], {args.out: _json_text(diag)}, started)
     print(f"problem={problem.name} h_list={est.h_values} errors={est.errors}")
     if est.saturated:
         print("order estimate saturated at the solver floor")
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--set",
         action="append",
         metavar="I,J=VALUE",
-        help="free coefficient entry, e.g. 2,1=1/30*sqrt(15) (repeatable)",
+        help="free coefficient entry, e.g. 2,1=sqrt(15)/30 (repeatable)",
     )
     p.add_argument("--label", default=None)
     p.add_argument("--out", default="method.json")

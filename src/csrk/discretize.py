@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .method import CsrkMethod
-from .verify import check_simplifying
+from .verify import check_simplifying, order_bound
 
 __all__ = [
     "Quadrature",
@@ -130,7 +130,7 @@ def discretize(m: CsrkMethod, q: Quadrature) -> ButcherTableau:
     return ButcherTableau(a, bhat, q.nodes.copy(), provenance)
 
 
-def predicted_rk_order(m: CsrkMethod, q: Quadrature, cap: int = 10) -> int:
+def predicted_rk_order(m: CsrkMethod, q: Quadrature) -> int:
     """Order lower bound of the discretized method.
 
     min(p, 2*alpha + 2, alpha + beta + 1) with alpha = min(eta, p - deg_sigma)
@@ -138,11 +138,11 @@ def predicted_rk_order(m: CsrkMethod, q: Quadrature, cap: int = 10) -> int:
     """
     if not (m.is_b_one() and m.is_c_tau()):
         raise ValueError("order prediction requires B = 1 and C = tau")
-    levels = check_simplifying(m, cap)
+    levels = check_simplifying(m)
     p = q.order
     alpha = min(levels.eta, p - m.pi_sigma)
     beta = min(levels.zeta, p - m.pi_tau)
-    return max(int(min(p, 2 * alpha + 2, alpha + beta + 1)), 0)
+    return max(order_bound(p, alpha, beta), 0)
 
 
 def rk_symplectic_residual(t: ButcherTableau) -> float:

@@ -13,11 +13,16 @@ constructions downstream.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 __all__ = ["Scalar", "as_scalar"]
+
+# Terms are separated by "+" or begin at a "-", except a "-" that is an
+# exponent's sign ("1e-3") or follows a sign, "*", "/" or "(".
+_TERM_SPLIT = re.compile(r"\+|(?<=[^+\-eE*/(])(?=-)")
 
 # Working precision (decimal digits) for sign decisions and float export.
 _APPROX_DIGITS = 48
@@ -79,26 +84,31 @@ class Scalar:
 
     @classmethod
     def from_string(cls, text: str) -> "Scalar":
-        """Parse the exact serialization, e.g. "1/2+-1/6*sqrt(3)"."""
-        text = text.strip().replace(" ", "")
+        """Parse a signed sum of terms q, q*sqrt(n), sqrt(n), sqrt(n)/k and
+        q*sqrt(n)/k with q rational and n, k integers, e.g. "1/2-sqrt(3)/6"
+        or its serialization "1/2+-1/6*sqrt(3)"."""
+        text = "".join(text.split())
         if not text:
             raise ValueError("empty exact-scalar string")
         total: dict[int, Fraction] = {}
-        for term in text.split("+"):
-            if not term:
-                raise ValueError(f"malformed exact-scalar string: {text!r}")
-            if "sqrt" in term:
-                head, _, tail = term.partition("sqrt")
-                if not (tail.startswith("(") and tail.endswith(")")):
-                    raise ValueError(f"malformed radical term: {term!r}")
-                rad = int(tail[1:-1])
-                head = head.rstrip("*")
-                coeff = Fraction(head) if head not in ("", "-") else Fraction(head + "1")
-                part = cls.sqrt(rad, coeff)
-            else:
-                part = cls._raw({1: Fraction(term)})
-            for r, q in part._terms.items():
-                total[r] = total.get(r, Fraction(0)) + q
+        try:
+            for term in _TERM_SPLIT.split(text):
+                if not term:
+                    raise ValueError(f"malformed exact-scalar string: {text!r}")
+                head, sep, tail = term.partition("sqrt")
+                if not sep:
+                    part = cls._raw({1: Fraction(term)})
+                else:
+                    rad, close, den = tail[1:].partition(")")
+                    if not (tail.startswith("(") and close and den[:1] in ("", "/")):
+                        raise ValueError(f"malformed radical term: {term!r}")
+                    head = head.rstrip("*")
+                    coeff = Fraction(head) if head not in ("", "-") else Fraction(head + "1")
+                    part = cls.sqrt(int(rad), coeff / (int(den[1:]) if den else 1))
+                for r, q in part._terms.items():
+                    total[r] = total.get(r, Fraction(0)) + q
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in exact-scalar string {text!r}") from exc
         return cls._raw(total)
 
     # -- queries -----------------------------------------------------------

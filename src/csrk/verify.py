@@ -51,6 +51,7 @@ __all__ = [
     "c_breve_defect",
     "d_breve_defect",
     "guaranteed_order",
+    "order_bound",
     "symplectic_residual",
     "symplectic_defect",
     "symmetric_residual",
@@ -68,16 +69,7 @@ _ZERO = Scalar(0)
 
 def _max_abs(values) -> Scalar:
     """Exact max-norm: zero iff every entry is exactly zero."""
-    best = _ZERO
-    best_f = 0.0
-    for v in values:
-        if not v:
-            continue
-        a = abs(v)
-        f = float(a)
-        if f > best_f or not best:
-            best, best_f = a, f
-    return best
+    return max((abs(v) for v in values if v), default=_ZERO)
 
 
 def _at(seq, i: int) -> Scalar:
@@ -215,10 +207,15 @@ def check_simplifying(m: CsrkMethod, cap: int = 10) -> SimplifyingLevels:
     return SimplifyingLevels(rho, eta, zeta)
 
 
-def guaranteed_order(m: CsrkMethod, cap: int = 10) -> int:
-    """Order lower bound min(rho, 2*eta + 2, eta + zeta + 1)."""
-    lv = check_simplifying(m, cap)
-    return int(min(lv.rho, 2 * lv.eta + 2, lv.eta + lv.zeta + 1))
+def order_bound(rho: float, eta: int, zeta: int) -> int:
+    """min(rho, 2*eta + 2, eta + zeta + 1): the order that B(rho), C(eta), D(zeta) guarantee."""
+    return int(min(rho, 2 * eta + 2, eta + zeta + 1))
+
+
+def guaranteed_order(m: CsrkMethod) -> int:
+    """Order lower bound from the exact simplifying levels of m."""
+    lv = check_simplifying(m)
+    return order_bound(lv.rho, lv.eta, lv.zeta)
 
 
 # -- geometric property residuals ---------------------------------------------
@@ -422,10 +419,9 @@ class PropertyReport:
         }
 
 
-def build_property_report(m: CsrkMethod, cap: int = 10) -> PropertyReport:
+def build_property_report(m: CsrkMethod) -> PropertyReport:
     """Run every certifier and collect the results."""
-    levels = check_simplifying(m, cap)
-    g_order = int(min(levels.rho, 2 * levels.eta + 2, levels.eta + levels.zeta + 1))
+    levels = check_simplifying(m)
     try:
         sym = symmetric_residual(m)
     except ValueError:
@@ -435,7 +431,7 @@ def build_property_report(m: CsrkMethod, cap: int = 10) -> PropertyReport:
         breve_b=levels.rho,
         breve_c=levels.eta,
         breve_d=levels.zeta,
-        guaranteed_order=g_order,
+        guaranteed_order=order_bound(levels.rho, levels.eta, levels.zeta),
         symplectic_residual=symplectic_residual(m),
         symmetric_residual=sym,
         ep_residuals=energy_preserving_residual(m),

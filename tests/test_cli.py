@@ -1,8 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
+import pytest
 
+import csrk.cli
 from csrk.cli import main
 
 
@@ -200,6 +203,21 @@ def test_construct_order_family_with_set_entries(tmp_path, capsys):
     assert code == 0
     method = json.loads(out.read_text())
     assert method["alpha"][2][1] == "1/30*sqrt(15)"
+    natural = tmp_path / "natural.json"
+    code, _, _ = run(
+        capsys,
+        "construct", "--family", "order", "--order", "4",
+        "--set", "2,1=sqrt(15)/30", "--out", str(natural),
+    )
+    assert code == 0
+    assert natural.read_text() == out.read_text()
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "order", "--order", "4",
+        "--set", "2,1=1/0", "--out", str(natural),
+    )
+    assert code == 2
+    assert json.loads(stderr.strip())["error"] == "_InputError"
     # bilinear violation rejected
     code2, _, stderr = run(
         capsys,
@@ -244,3 +262,74 @@ def test_missing_required_parameter_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "required" in json.loads(stderr.strip())["message"]
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _snapshot(tmp_path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def _assert_manifest_names_one_complete_run(tmp_path, first_run):
+    """A manifest left behind must be the first run's, over that run's outputs."""
+    manifest = tmp_path / "m.manifest.json"
+    if not manifest.exists():
+        return
+    assert manifest.read_bytes() == first_run["m.manifest.json"]
+    for path in json.loads(manifest.read_text())["outputs"]:
+        name = os.path.basename(path)
+        assert (tmp_path / name).read_bytes() == first_run[name]
+
+
+def _construct_twice(tmp_path, capsys):
+    """Construct m.json, then return the files and the argv of a different rerun."""
+    out = str(tmp_path / "m.json")
+    assert run(capsys, "construct", "--family", "symplectic", "--out", out)[0] == 0
+    first_run = _snapshot(tmp_path)
+    assert set(first_run) == {"m.json", "m.report.json", "m.manifest.json"}
+    rerun = ["construct", "--family", "simplifying", "--alpha", "2", "--beta", "1", "--out", out]
+    return first_run, rerun
+
+
+def test_rerun_interrupted_while_certifying_keeps_a_consistent_manifest(
+    tmp_path, capsys, monkeypatch
+):
+    first_run, rerun = _construct_twice(tmp_path, capsys)
+
+    def interrupted(method):
+        raise _Interrupted
+
+    monkeypatch.setattr(csrk.cli, "build_property_report", interrupted)
+    with pytest.raises(_Interrupted):
+        main(rerun)
+    _assert_manifest_names_one_complete_run(tmp_path, first_run)
+    assert _snapshot(tmp_path) == first_run
+
+
+def test_rerun_interrupted_while_writing_leaves_no_stale_manifest(
+    tmp_path, capsys, monkeypatch
+):
+    first_run, rerun = _construct_twice(tmp_path, capsys)
+    real_replace = os.replace
+    calls = []
+
+    def replace_fails_on_second_output(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("interrupted")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_fails_on_second_output)
+    code, _, stderr = run(capsys, *rerun)
+    assert code == 2
+    assert json.loads(stderr.strip())["error"] == "OSError"
+    assert len(calls) == 2
+    # the stale manifest went first, and no temporary file is left behind
+    assert sorted(_snapshot(tmp_path)) == ["m.json", "m.report.json"]
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert run(capsys, *rerun)[0] == 0
+    manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+    assert manifest["parameters"]["family"] == "simplifying"
+    assert [os.path.basename(p) for p in manifest["outputs"]] == ["m.json", "m.report.json"]

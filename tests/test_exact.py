@@ -101,6 +101,22 @@ def test_string_round_trip():
     assert Scalar.from_string("sqrt(3)") == Scalar.sqrt(3)
     assert Scalar.from_string("-sqrt(3)") == -Scalar.sqrt(3)
     assert Scalar.from_string("1/2+-1/6*sqrt(3)") == Scalar(Fraction(1, 2)) - Scalar.sqrt(3, Fraction(1, 6))
+    assert Scalar.from_string("0.25") == Fraction(1, 4)
+    assert Scalar.from_string("1e-3") == Fraction(1, 1000)
+
+
+def test_from_string_accepts_natural_forms():
+    half_minus = Scalar(Fraction(1, 2)) - Scalar.sqrt(3, Fraction(1, 6))
+    assert Scalar.from_string("1/2-1/6*sqrt(3)") == half_minus
+    assert Scalar.from_string("1/2 - sqrt(3)/6") == half_minus
+    assert Scalar.from_string("-sqrt(3)/6+1/2") == half_minus
+    assert Scalar.from_string("sqrt(15)/30") == Scalar.sqrt(15, Fraction(1, 30))
+    assert Scalar.from_string("2*sqrt(12)/3") == Scalar.sqrt(3, Fraction(4, 3))
+    assert Scalar.from_string("1e-3-sqrt(2)") == Fraction(1, 1000) - Scalar.sqrt(2)
+    assert Scalar.from_string("3-1") == 2
+    for bad in ("1/0", "sqrt(3)/0", "sqrt(3)/", "sqrt(3)*2", "sqrt(-3)", "2-", "+1", "sqrt3"):
+        with pytest.raises(ValueError):
+            Scalar.from_string(bad)
 
 
 def test_floats_are_rejected():
@@ -171,3 +187,73 @@ def test_hash_agrees_with_fraction_and_int():
     keys = {Scalar(Fraction(1, 2)), Fraction(1, 2), Scalar(2), 2}
     keys |= {Scalar.sqrt(3), Scalar.sqrt(12) / 2}
     assert len(keys) == 3
+
+
+def _scalar(terms):
+    v = Scalar(0)
+    for r, q in terms:
+        v = v + Scalar.sqrt(r, q)
+    return v
+
+
+_SCALARS = _TERMS.map(_scalar)
+_SINGLE_TERMS = st.builds(
+    Scalar.sqrt,
+    st.sampled_from(_RADICANDS),
+    st.fractions(min_value=-5, max_value=5, max_denominator=50).filter(bool),
+)
+
+
+@settings(deadline=None)
+@given(a=_SCALARS, b=_SCALARS, c=_SCALARS)
+def test_field_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == 0 and a - a == 0
+    assert a + 0 == a and a * 1 == a
+
+
+@settings(deadline=None)
+@given(a=_SCALARS, d=_SINGLE_TERMS)
+def test_division_by_single_term_inverts_multiplication(a, d):
+    assert (a / d) * d == a
+    assert (a * d) / d == a
+    assert d * (1 / d) == 1
+
+
+@settings(deadline=None)
+@given(a=_SCALARS)
+def test_string_round_trip_property(a):
+    assert Scalar.from_string(str(a)) == a
+
+
+_NATURAL_FORMS = {
+    "{q}": lambda q, n, k: Scalar(q),
+    "{q}*sqrt({n})": lambda q, n, k: Scalar.sqrt(n, q),
+    "sqrt({n})": lambda q, n, k: Scalar.sqrt(n),
+    "sqrt({n})/{k}": lambda q, n, k: Scalar.sqrt(n, Fraction(1, k)),
+    "{q}*sqrt({n})/{k}": lambda q, n, k: Scalar.sqrt(n, q / k),
+}
+_NATURAL_TERM = st.tuples(
+    st.sampled_from(["+", "-", "+-"]),
+    st.sampled_from(sorted(_NATURAL_FORMS)),
+    st.fractions(min_value=Fraction(1, 50), max_value=5, max_denominator=50),
+    st.integers(1, 60),
+    st.integers(1, 30),
+)
+
+
+@settings(deadline=None)
+@given(terms=st.lists(_NATURAL_TERM, min_size=1, max_size=4))
+def test_from_string_parses_signed_sums_of_natural_terms(terms):
+    """Terms joined by "+", "-" or the serialization's "+-"; a leading "+" is dropped."""
+    text, expected = "", Scalar(0)
+    for sign, form, q, n, k in terms:
+        joiner = sign.lstrip("+") if not text else sign
+        text += joiner + form.format(q=q, n=n, k=k)
+        value = _NATURAL_FORMS[form](q, n, k)
+        expected = expected - value if "-" in sign else expected + value
+    assert Scalar.from_string(text) == expected

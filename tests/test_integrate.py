@@ -220,6 +220,26 @@ def test_builtin_problems():
         builtin_problem("kepler", eccentricity=1.0)
 
 
+def test_fd_jacobian_matches_analytic_kepler_derivatives():
+    from csrk.integrate import _fd_jacobian
+
+    kep = builtin_problem("kepler", eccentricity=0.6)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        z = kep.z0 + 0.1 * rng.standard_normal(4)
+        q, p = z[:2], z[2:]
+        r = math.hypot(q[0], q[1])
+        grad_h = np.concatenate([q / r**3, p])
+        hess_v = np.eye(2) / r**3 - 3 * np.outer(q, q) / r**5
+        jac = np.block([[np.zeros((2, 2)), np.eye(2)], [-hess_v, np.zeros((2, 2))]])
+        got_grad = _fd_jacobian(kep.hamiltonian, z, 1e-6)
+        assert got_grad.shape == (4,)
+        assert np.max(np.abs(got_grad - grad_h)) < 1e-8
+        got_jac = _fd_jacobian(lambda v: kep.rhs(0.0, v), z, 1e-7)
+        assert got_jac.shape == (4, 4)
+        assert np.max(np.abs(got_jac - jac)) < 1e-6
+
+
 def test_hamiltonian_rhs_consistency_is_enforced():
     def wrong_rhs(t, z):
         return np.array([-z[1], z[0]])  # time-reversed flow

@@ -26,6 +26,7 @@ from csrk.method import (
     new_method,
 )
 from csrk.verify import (
+    _max_abs,
     build_property_report,
     c_breve_defect,
     check_epm2_condition,
@@ -34,6 +35,7 @@ from csrk.verify import (
     d_breve_defect,
     energy_preserving_residual,
     guaranteed_order,
+    order_bound,
     order_condition_residuals,
     report_to_json_dict,
     stage_contraction_bound,
@@ -244,6 +246,11 @@ def test_guaranteed_order_examples():
     assert guaranteed_order(minimal_method()) == 3
     assert guaranteed_order(avf_method()) == 2
     assert guaranteed_order(construct_simplifying(1, 2)) == 4
+    assert order_bound(math.inf, 2, 1) == 4
+    assert order_bound(3, 5, 5) == 3
+    assert order_bound(math.inf, 1, 5) == 4
+    for m in (construct_simplifying(3, 2), minimal_method(), avf_method()):
+        assert build_property_report(m).guaranteed_order == guaranteed_order(m)
 
 
 def test_simplifying_construction_reaches_requested_levels():
@@ -268,6 +275,17 @@ def test_direct_order_at_least_guaranteed():
 
 
 # -- geometric residuals --------------------------------------------------------
+
+
+def test_max_abs_is_exact():
+    # the two entries round to the same float; the larger must still win
+    big = Scalar(1) + Fraction(1, 10**20)
+    assert _max_abs([Scalar(1), big]) == big
+    assert _max_abs([big, -Scalar(1)]) == big
+    assert _max_abs([-big, Scalar(1)]) == big
+    assert _max_abs([Scalar(0), Scalar(0)]) == 0
+    assert _max_abs([]) == 0
+    assert _max_abs([Scalar.sqrt(2) - Fraction(141421356237, 10**11), Scalar(0)]).sign() == 1
 
 
 def test_symplectic_residual_examples():
