@@ -55,10 +55,8 @@ class Quadrature:
             raise ValueError("nodes must lie in [0, 1]")
         if abs(weights.sum() - 1.0) > 1e-14:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
-        # the claimed order must be achieved (moment identities up to order)
-        for k in range(1, self.order + 1):
-            if abs(float(weights @ nodes ** (k - 1)) - 1.0 / k) > 1e-12:
-                raise ValueError(f"rule does not reach its claimed order {self.order}")
+        if quadrature_order(self, self.order) < self.order:
+            raise ValueError(f"rule does not reach its claimed order {self.order}")
 
     @property
     def stages(self) -> int:

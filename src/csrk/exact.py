@@ -23,6 +23,8 @@ __all__ = ["Scalar", "as_scalar"]
 # Terms are separated by "+" or begin at a "-", except a "-" that is an
 # exponent's sign ("1e-3") or follows a sign, "*", "/" or "(".
 _TERM_SPLIT = re.compile(r"\+|(?<=[^+\-eE*/(])(?=-)")
+# Whitespace between two digits or dots would join two numbers into one.
+_SPLIT_NUMBER = re.compile(r"[\d.]\s+[\d.]")
 
 # Working precision (decimal digits) for sign decisions and float export.
 _APPROX_DIGITS = 48
@@ -86,7 +88,10 @@ class Scalar:
     def from_string(cls, text: str) -> "Scalar":
         """Parse a signed sum of terms q, q*sqrt(n), sqrt(n), sqrt(n)/k and
         q*sqrt(n)/k with q rational and n, k integers, e.g. "1/2-sqrt(3)/6"
-        or its serialization "1/2+-1/6*sqrt(3)"."""
+        or its serialization "1/2+-1/6*sqrt(3)".  Whitespace is ignored,
+        except inside a number: "1 2" is an error, not 12."""
+        if _SPLIT_NUMBER.search(text):
+            raise ValueError(f"whitespace inside a number in exact-scalar string {text!r}")
         text = "".join(text.split())
         if not text:
             raise ValueError("empty exact-scalar string")

@@ -20,10 +20,10 @@ and the orthonormal coefficients are only an input/output view.
 ``l_mul`` and ``l_derivative`` act on plain coefficient tuples, so
 intermediate products are not bound by CAP.
 
-The monomial helpers (``mono_*``, ``to_monomial``, ``from_monomial``)
-are reference implementations for the tests; no exact certifier uses
-them.  ``legendre_monomial`` also feeds the float polynomials of the
-advisory step-size bound.
+The monomial helpers (``legendre_monomial``, ``mono_*``, ``to_monomial``,
+``from_monomial``) are reference implementations for the tests and
+names that ``bench/tracer.py`` traces; no certifier uses them, nor does
+the advisory step-size bound, which works in numpy's Legendre basis.
 """
 
 from __future__ import annotations

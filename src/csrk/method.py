@@ -171,12 +171,7 @@ def new_method(
     label: str = "",
 ) -> CsrkMethod:
     """Validated method from raw coefficients; exact consistency enforced."""
-    return CsrkMethod(
-        tuple(tuple(as_scalar(v) for v in row) for row in alpha),
-        B if isinstance(B, UnivariatePoly) else UnivariatePoly(B),
-        C if isinstance(C, UnivariatePoly) else UnivariatePoly(C),
-        label,
-    )
+    return CsrkMethod(alpha, B, C, label)
 
 
 def _entries_to_matrix(entries: Mapping[tuple[int, int], Scalar]) -> list[list[Scalar]]:

@@ -7,18 +7,20 @@ moment identities B/C/D deliver a guaranteed lower bound on the order
 beyond that.  The step-size contraction bound is the only numerical
 (advisory) quantity in the module.
 
-Products, projections and derivatives run in the unnormalized Legendre
-basis L_i = P_i/sqrt(2i+1) of ``legendre``: the tensor, B and C are
-converted once per certifier call, projections onto L_i are coefficients
-over 2i+1, and products and powers of C are exact ``l_mul`` products
-with no degree cap (rho probes C**19).  ``check_simplifying`` builds the powers of C once and shares
-them across its levels.  Results are converted back only at the end:
+Every certifier reads one form of the method in the unnormalized Legendre
+basis L_i = P_i/sqrt(2i+1) of ``legendre``: the tensor, its columns, B, C
+and the ladders C**k and B*C**k, grown on demand by exact ``l_mul``
+products with no degree cap (rho probes C**19).  The form is cached for
+the last method only, so the certifiers of one report and the defects
+that follow it share one conversion and one ladder.  Projections onto L_i
+are coefficients over 2i+1.  Results are converted back only at the end:
 tensors to orthonormal coefficients, the moment-identity defects to
 monomial coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +35,6 @@ from .legendre import (
     l_mul,
     l_sub,
     l_to_monomial,
-    legendre_monomial,
     legendre_table,
     tensor_from_l,
     tensor_to_l,
@@ -87,6 +88,43 @@ def _contract(rows, q) -> list[Scalar]:
     return [sum((v * w for v, w in zip(row, proj) if v and w), _ZERO) for row in rows]
 
 
+class _LForm:
+    """A method in the L basis: tensor, columns, B, C and the ladders C**k, B*C**k.
+
+    The ladders grow on demand and are kept for the next certifier.
+    """
+
+    def __init__(self, m: CsrkMethod):
+        self.a = tensor_to_l(m.alpha)
+        self.cols = _columns(self.a, m.pi_sigma + 1)
+        self.b = tuple(to_l(m.B.coeffs))
+        self.c = tuple(to_l(m.C.coeffs))
+        self.c_pow = [(Scalar(1),)]
+        self.bc_pow = [self.b]
+
+    def power(self, ladder: list, k: int) -> tuple[Scalar, ...]:
+        while len(ladder) <= k:
+            ladder.append(l_mul(self.c, ladder[-1]))
+        return ladder[k]
+
+    def c_breve(self, k: int) -> tuple[Scalar, ...]:
+        """L coefficients of int A C^(k-1) dsigma - C^k / k."""
+        lhs = _contract(self.a, self.power(self.c_pow, k - 1))
+        return l_sub(lhs, [v * Fraction(1, k) for v in self.power(self.c_pow, k)])
+
+    def d_breve(self, k: int) -> tuple[Scalar, ...]:
+        """L coefficients of int B C^(k-1) A dtau - B (1 - C^k) / k."""
+        lhs = _contract(self.cols, self.power(self.bc_pow, k - 1))
+        rhs = l_sub(self.b, self.power(self.bc_pow, k))
+        return l_sub(lhs, [v * Fraction(1, k) for v in rhs])
+
+
+@functools.lru_cache(maxsize=1)
+def _l_form(m: CsrkMethod) -> _LForm:
+    """The L form of m, shared by the certifiers until another method is certified."""
+    return _LForm(m)
+
+
 # -- order conditions --------------------------------------------------------
 
 
@@ -106,20 +144,19 @@ def order_condition_residuals(m: CsrkMethod) -> dict[int, Scalar]:
     int L_i L_j = delta_ij / (2i+1); for B = 1, C = tau they reduce to the
     paper's coefficient relations (4), (6), (7) and (8).
     """
-    a = tensor_to_l(m.alpha)
-    cols = _columns(a, m.pi_sigma + 1)
-    b, c = to_l(m.B.coeffs), to_l(m.C.coeffs)
-    bc, cc = l_mul(b, c), l_mul(c, c)
-    left = _contract(cols, b)  # int B(t) A(t, s) dt
+    f = _l_form(m)
+    b, c = f.b, f.c
+    bc, cc = f.power(f.bc_pow, 1), f.power(f.c_pow, 2)
+    left = _contract(f.cols, b)  # int B(t) A(t, s) dt
     return {
         1: (b[0] if b else _ZERO) - 1,
         2: l_dot(b, c) - Fraction(1, 2),
         3: l_dot(bc, c) - Fraction(1, 3),
         4: l_dot(left, c) - Fraction(1, 6),
         5: l_dot(bc, cc) - Fraction(1, 4),
-        6: l_dot(_contract(cols, bc), c) - Fraction(1, 8),
+        6: l_dot(_contract(f.cols, bc), c) - Fraction(1, 8),
         7: l_dot(left, cc) - Fraction(1, 12),
-        8: l_dot(left, _contract(a, c)) - Fraction(1, 24),
+        8: l_dot(left, _contract(f.a, c)) - Fraction(1, 24),
     }
 
 
@@ -148,62 +185,33 @@ class SimplifyingLevels:
     zeta: int
 
 
-class _Moments:
-    """A method in the L basis with the ladders C**k and B*C**k, built on demand."""
-
-    def __init__(self, m: CsrkMethod):
-        self.a = tensor_to_l(m.alpha)
-        self.cols = _columns(self.a, m.pi_sigma + 1)
-        self.b = tuple(to_l(m.B.coeffs))
-        self.c = tuple(to_l(m.C.coeffs))
-        self.c_pow = [(Scalar(1),)]
-        self.bc_pow = [self.b]
-
-    def power(self, ladder: list, k: int) -> tuple[Scalar, ...]:
-        while len(ladder) <= k:
-            ladder.append(l_mul(self.c, ladder[-1]))
-        return ladder[k]
-
-    def c_breve(self, k: int) -> tuple[Scalar, ...]:
-        """L coefficients of int A C^(k-1) dsigma - C^k / k."""
-        lhs = _contract(self.a, self.power(self.c_pow, k - 1))
-        return l_sub(lhs, [v * Fraction(1, k) for v in self.power(self.c_pow, k)])
-
-    def d_breve(self, k: int) -> tuple[Scalar, ...]:
-        """L coefficients of int B C^(k-1) A dtau - B (1 - C^k) / k."""
-        lhs = _contract(self.cols, self.power(self.bc_pow, k - 1))
-        rhs = l_sub(self.b, self.power(self.bc_pow, k))
-        return l_sub(lhs, [v * Fraction(1, k) for v in rhs])
-
-
 def c_breve_defect(m: CsrkMethod, k: int) -> tuple[Scalar, ...]:
     """Monomial coefficients (in tau) of int A C^(k-1) dsigma - C^k / k."""
-    return l_to_monomial(_Moments(m).c_breve(k))
+    return l_to_monomial(_l_form(m).c_breve(k))
 
 
 def d_breve_defect(m: CsrkMethod, k: int) -> tuple[Scalar, ...]:
     """Monomial coefficients (in sigma) of int B C^(k-1) A dtau - B (1 - C^k) / k."""
-    return l_to_monomial(_Moments(m).d_breve(k))
+    return l_to_monomial(_l_form(m).d_breve(k))
 
 
 def check_simplifying(m: CsrkMethod, cap: int = 10) -> SimplifyingLevels:
     """Largest levels of the moment identities, checked exactly.
 
     rho is infinity for B = 1, C = tau (where the weight moments hold at
-    every level) and is otherwise probed to 2*cap.  The powers of C are
-    built once and shared by the three levels.
+    every level) and is otherwise probed to 2*cap.
     """
-    mom = _Moments(m)
+    f = _l_form(m)
     rho: float = 0
     if m.is_b_one() and m.is_c_tau():
         rho = math.inf
     else:
         for k in range(1, 2 * cap + 1):
-            if l_dot(mom.b, mom.power(mom.c_pow, k - 1)) != Fraction(1, k):
+            if l_dot(f.b, f.power(f.c_pow, k - 1)) != Fraction(1, k):
                 break
             rho += 1
-    eta = next((k - 1 for k in range(1, cap + 1) if mom.c_breve(k)), cap)
-    zeta = next((k - 1 for k in range(1, cap + 1) if mom.d_breve(k)), cap)
+    eta = next((k - 1 for k in range(1, cap + 1) if f.c_breve(k)), cap)
+    zeta = next((k - 1 for k in range(1, cap + 1) if f.d_breve(k)), cap)
     return SimplifyingLevels(rho, eta, zeta)
 
 
@@ -223,10 +231,10 @@ def guaranteed_order(m: CsrkMethod) -> int:
 
 def symplectic_defect(m: CsrkMethod) -> list[list[Scalar]]:
     """Tensor coefficients of B(t)A(t,s) + B(s)A(s,t) - B(t)B(s)."""
-    b = to_l(m.B.coeffs)
-    ncols = m.pi_sigma + 1
+    f = _l_form(m)
+    b, ncols = f.b, len(f.cols)
     # B(tau) * A(tau, sigma), column by column
-    cols = [l_mul(b, col) for col in _columns(tensor_to_l(m.alpha), ncols)]
+    cols = [l_mul(b, col) for col in f.cols]
     n = max(max(len(col) for col in cols), ncols, len(b))
 
     def t(i: int, j: int) -> Scalar:
@@ -277,15 +285,17 @@ def energy_preserving_defect(
     (1) asymmetry of the tau-derivative of A, (2) coefficients of A(0, .),
     (3) coefficients of A(1, .) - B.
     """
+    f = _l_form(m)
     n = max(m.pi_tau, m.pi_sigma, m.B.degree)
-    cols = _columns(tensor_to_l(m.alpha), n + 1)  # A column by column, in tau
+    # A column by column, in tau, padded with zero columns up to n + 1
+    cols = f.cols + [[_ZERO] * len(f.a)] * (n - m.pi_sigma)
     da = [l_derivative(col) for col in cols]
     asym = tensor_from_l(
         [[_at(da[j], i) - _at(da[i], j) for j in range(n + 1)] for i in range(n + 1)]
     )
     # L_i(0) = (-1)**i and L_i(1) = 1
     at0 = from_l([sum((-v if i % 2 else v for i, v in enumerate(col)), _ZERO) for col in cols])
-    at1 = from_l(l_sub([sum(col, _ZERO) for col in cols], to_l(m.B.coeffs)))
+    at1 = from_l(l_sub([sum(col, _ZERO) for col in cols], f.b))
     return asym, at0, at1
 
 
@@ -329,50 +339,27 @@ def check_epm2_condition(
 # -- step-size contraction bound (advisory, numerical) -------------------------
 
 
-def _abs_sigma_integral(mono: np.ndarray) -> float:
-    """Integral over [0, 1] of |p| for a monomial-coefficient polynomial."""
-    mono = np.asarray(mono, float)
-    scale = np.max(np.abs(mono)) if mono.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    trimmed = np.trim_zeros(np.where(np.abs(mono) > 1e-14 * scale, mono, 0.0), "b")
-    if trimmed.size <= 1:
-        return abs(float(trimmed[0])) if trimmed.size else 0.0
-    roots = np.roots(trimmed[::-1])
-    breaks = sorted(
-        float(r.real)
-        for r in roots
-        if abs(r.imag) < 1e-9 and 1e-12 < r.real < 1 - 1e-12
-    )
-    anti = np.concatenate([[0.0], trimmed / np.arange(1, trimmed.size + 1)])
-    points = [0.0] + breaks + [1.0]
-    total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        total += abs(np.polyval(anti[::-1], b) - np.polyval(anti[::-1], a))
-    return total
-
-
 def stage_contraction_bound(m: CsrkMethod, lipschitz: float) -> float:
     """Step-size ceiling 1 / (L * max_tau int |A(tau, .)|) for unique stages.
 
-    The inner integral of |A| is computed by exact piecewise integration
-    between the real roots of the sigma-polynomial; the outer maximum by
-    dense sampling plus local refinement to 1e-6 in tau.  Advisory, not a
-    certificate.
+    The inner integral of |A| is computed on the sigma-series in numpy's
+    Legendre basis on x = 2 sigma - 1, integrated exactly between its real
+    roots in (-1, 1); the outer maximum by dense sampling plus local
+    refinement to 1e-6 in tau.  Advisory, not a certificate.
     """
     if lipschitz <= 0:
         raise ValueError("the Lipschitz constant must be positive")
-    nsig = m.pi_sigma
-    leg2mono = np.zeros((nsig + 1, nsig + 1))
-    for i in range(nsig + 1):
-        for k, c in enumerate(legendre_monomial(i)):
-            leg2mono[i, k] = float(c)
-    alpha_f = m.alpha_floats()
+    leg = np.polynomial.legendre
+    # P_j(sigma) = sqrt(2j+1) * Legendre_j(2 sigma - 1)
+    alpha_f = m.alpha_floats() * np.sqrt(2 * np.arange(m.pi_sigma + 1) + 1)
 
     def g(tau: float) -> float:
-        pt = legendre_table(m.pi_tau, np.array([tau]))[:, 0]
-        sigma_leg = pt @ alpha_f
-        return _abs_sigma_integral(sigma_leg @ leg2mono)
+        series = legendre_table(m.pi_tau, np.array([tau]))[:, 0] @ alpha_f
+        series = leg.legtrim(series, 1e-14 * np.max(np.abs(series)))
+        roots = leg.legroots(series)
+        breaks = np.sort(roots[(abs(roots.imag) < 1e-9) & (abs(roots.real) < 1 - 2e-12)].real)
+        anti = leg.legval(np.concatenate([[-1.0], breaks, [1.0]]), leg.legint(series))
+        return float(np.sum(np.abs(np.diff(anti)))) / 2
 
     taus = np.linspace(0.0, 1.0, 65)
     vals = [g(t) for t in taus]

@@ -193,6 +193,18 @@ def test_convergence_gauss2_harmonic_slope(tmp_path, capsys):
     assert "empirical_order=" in stdout
 
 
+def test_set_value_with_whitespace_inside_a_number_is_rejected(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "order", "--order", "4",
+        "--set", "2,1=1 2", "--out", str(out),
+    )
+    assert code == 2
+    assert json.loads(stderr.strip())["error"] == "_InputError"
+    assert not out.exists()
+
+
 def test_construct_order_family_with_set_entries(tmp_path, capsys):
     out = tmp_path / "m.json"
     code, _, _ = run(

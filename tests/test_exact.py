@@ -119,6 +119,15 @@ def test_from_string_accepts_natural_forms():
             Scalar.from_string(bad)
 
 
+def test_from_string_rejects_whitespace_inside_a_number():
+    half_plus = Scalar(Fraction(1, 2)) + Scalar.sqrt(3, Fraction(1, 6))
+    assert Scalar.from_string(" 1/2 + sqrt(3) / 6 ") == half_plus
+    assert Scalar.from_string("1/2 - 1/6 * sqrt( 3 )") == Scalar(1) - half_plus
+    for bad in ("1 2", "3 1/2", "1/2 3", "1. 5", "sqrt(1 5)", "1/2-sqrt(3)/1 2"):
+        with pytest.raises(ValueError, match="whitespace inside a number"):
+            Scalar.from_string(bad)
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         Scalar(0.5)

@@ -25,7 +25,9 @@ from csrk.method import (
     construct_symplectic,
     new_method,
 )
+import csrk.verify
 from csrk.verify import (
+    _l_form,
     _max_abs,
     build_property_report,
     c_breve_defect,
@@ -500,11 +502,12 @@ def test_contraction_bound_scales_with_lipschitz():
 
 def test_contraction_bound_random_methods_against_oracle():
     rng = random.Random(47)
-    for _ in range(5):
-        m = random_tau_method(rng, 3, 3)
-        assert stage_contraction_bound(m, 1.0) == pytest.approx(
-            brute_force_bound(m, 1.0), rel=2e-3
-        )
+    for degree in (3, 6):  # a monomial-basis root search loses most accuracy at degree 6
+        for _ in range(5):
+            m = random_tau_method(rng, degree, degree)
+            assert stage_contraction_bound(m, 1.0) == pytest.approx(
+                brute_force_bound(m, 1.0), rel=2e-3
+            )
 
 
 # -- report ----------------------------------------------------------------------
@@ -519,6 +522,48 @@ def test_property_report_minimal():
     assert d["breve"]["B"] == "inf"
     assert d["residuals"]["symplectic"] == "0"
     assert d["flags"]["symplectic"] is True
+
+
+def test_shared_l_form_matches_fresh_computation():
+    """Certifiers sharing one cached L form give what each gives on its own."""
+    rng = random.Random(53)
+    m1 = random_general_method(rng, 4, 3, 2)
+    m2 = random_general_method(rng, 3, 4, 1)
+    twin = new_method(m1.alpha, m1.B, m1.C, "twin")  # m1 but for its label
+    reweighted = new_method(m1.alpha, UnivariatePoly([1, Fraction(1, 3)]), m1.C)
+    assert reweighted.B != m1.B
+    calls = [
+        (build_property_report, m1), (build_property_report, m2),
+        (build_property_report, m1), (c_breve_defect, m2, 3),
+        (check_simplifying, m1), (d_breve_defect, m2, 2),
+        (build_property_report, twin), (c_breve_defect, m1, 3),
+        (d_breve_defect, twin, 3), (check_order_conditions, m2),
+        (symplectic_residual, twin), (energy_preserving_residual, m1),
+        (build_property_report, reweighted), (d_breve_defect, m1, 3),
+    ]
+    _l_form.cache_clear()
+    shared = [fn(*args) for fn, *args in calls]
+    for (fn, *args), got in zip(calls, shared):
+        _l_form.cache_clear()
+        assert got == fn(*args), (fn.__name__, args[0].label)
+
+
+def test_report_and_defects_convert_the_tensor_once(monkeypatch):
+    converted = []
+
+    def counting(alpha):
+        converted.append(alpha)
+        return tensor_to_l(alpha)
+
+    tensor_to_l = csrk.verify.tensor_to_l
+    monkeypatch.setattr(csrk.verify, "tensor_to_l", counting)
+    _l_form.cache_clear()
+    m = random_general_method(random.Random(59), 4, 4, 2)
+    build_property_report(m)
+    for k in (1, 2, 3):
+        c_breve_defect(m, k)
+        d_breve_defect(m, k)
+    assert len(converted) == 1
 
 
 def test_property_report_avf():
