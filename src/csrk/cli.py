@@ -271,8 +271,11 @@ def _make_problem(args):
     kwargs = {}
     if args.problem == "kepler":
         kwargs["eccentricity"] = args.e
-    elif args.z0:
-        kwargs["z0"] = [float(v) for v in args.z0.split(",")]
+    if args.z0 is not None:
+        try:
+            kwargs["z0"] = [float(v) for v in args.z0.split(",")]
+        except ValueError as exc:
+            raise _InputError(f"cannot parse --z0 {args.z0!r}") from exc
     return builtin_problem(args.problem, **kwargs)
 
 
@@ -420,6 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_error(exc: Exception) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
+    for key in ("step_index", "h_bound"):
+        if getattr(exc, key, None) is not None:
+            payload[key] = getattr(exc, key)
     json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
 

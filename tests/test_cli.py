@@ -158,20 +158,66 @@ def test_integrate_kepler_diagnostics(tmp_path, capsys):
     assert diag["empirical_order"] is None
 
 
-def test_integrate_nonconvergence_exits_3_with_bound_advice(tmp_path, capsys):
+def _symplectic_gauss2(tmp_path, capsys):
     method = tmp_path / "m.json"
     run(capsys, "construct", "--family", "symplectic", "--out", str(method))
     tab = tmp_path / "tab.json"
     run(capsys, "discretize", str(method), "--stages", "2", "--out", str(tab))
+    return tab
+
+
+def test_integrate_nonconvergence_exits_3_with_bound_advice(tmp_path, capsys):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    for args in (
+        ["--problem", "harmonic", "--h", "10"],  # fixed point beyond the bound
+        ["--problem", "kepler", "--solver", "newton", "--max-iter", "1", "--h", "0.01"],
+    ):
+        code, _, stderr = run(
+            capsys,
+            "integrate", str(tab), *args, "--steps", "3", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 3
+        err = json.loads(stderr.strip())
+        assert err["error"] == "NonConvergence"
+        assert "contraction bound" in err["message"]
+        assert "t = " in err["message"]
+        assert err["step_index"] == 0
+        assert isinstance(err["h_bound"], float) and err["h_bound"] > 0
+
+
+def test_integrate_unparsable_z0_is_usage_error(tmp_path, capsys):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    for z0 in ("1,x", ""):
+        code, _, stderr = run(
+            capsys,
+            "integrate", str(tab), "--problem", "pendulum", f"--z0={z0}",
+            "--h", "0.1", "--steps", "3", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        assert "--z0" in json.loads(stderr.strip())["message"]
+
+
+def test_integrate_kepler_rejects_z0(tmp_path, capsys):
+    tab = _symplectic_gauss2(tmp_path, capsys)
     code, _, stderr = run(
         capsys,
-        "integrate", str(tab), "--problem", "harmonic",
-        "--h", "10", "--steps", "3", "--out", str(tmp_path / "t.csv"),
+        "integrate", str(tab), "--problem", "kepler", "--z0", "1,0,0,1",
+        "--h", "0.01", "--steps", "3", "--out", str(tmp_path / "t.csv"),
     )
-    assert code == 3
-    err = json.loads(stderr.strip())
-    assert err["error"] == "NonConvergence"
-    assert "contraction bound" in err["message"]
+    assert code == 1
+    assert "eccentricity" in json.loads(stderr.strip())["message"]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_integrate_z0_of_wrong_length_is_domain_error(tmp_path, capsys):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "harmonic", "--z0", "1",
+        "--h", "0.1", "--steps", "3", "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    assert json.loads(stderr.strip())["message"] == "initial state must have shape (2,)"
 
 
 def test_convergence_gauss2_harmonic_slope(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from csrk.integrate import (
     symplecticity_residual,
     trajectory_to_csv,
 )
-from csrk.method import EpSpec, construct_ep_general, construct_ep_legendre, new_method
+from csrk.method import (
+    EpSpec,
+    construct_ep_general,
+    construct_ep_legendre,
+    construct_simplifying,
+    new_method,
+)
 from csrk.legendre import ONE, TAU, UnivariatePoly
 from csrk.exact import Scalar
 from fractions import Fraction
@@ -281,6 +288,44 @@ def test_nonconvergence_reports_step_index():
     with pytest.raises(NonConvergence) as err:
         integrate(t, p, 10.0, 3)
     assert err.value.step_index == 0
+
+
+def test_newton_makes_one_jacobian_per_step():
+    # per step: 2d calls for the central-difference Jacobian at z_n, s per
+    # stage iteration and s for the update
+    kepler = builtin_problem("kepler", eccentricity=0.6)
+    calls = 0
+
+    def counting_rhs(time, z):
+        nonlocal calls
+        calls += 1
+        return kepler.rhs(time, z)
+
+    p = dataclasses.replace(kepler, rhs=counting_rhs)
+    t, n = gauss2_tableau(), 50
+    calls = 0
+    traj = integrate(t, p, 0.01, n, NEWTON)
+    s, d = t.stages, p.dim
+    assert calls == n * (2 * d + s) + s * int(traj.iterations.sum())
+
+
+def test_newton_nonconvergence_reports_time_and_bound():
+    p = builtin_problem("kepler", eccentricity=0.6)
+    with pytest.raises(NonConvergence) as err:
+        integrate(gauss2_tableau(), p, 0.01, 3, StepperConfig(max_iter=1, solver="newton"))
+    message = str(err.value)
+    assert message.startswith("Newton stage iteration")
+    assert "t = " in message and "contraction bound" in message
+    assert err.value.h_bound is not None and err.value.h_bound > 0
+    assert err.value.step_index == 0
+
+
+def test_newton_agrees_with_fixed_point_on_kepler():
+    t = discretize(construct_simplifying(2, 1), gauss_legendre(2))
+    p = builtin_problem("kepler", eccentricity=0.6)
+    fixed = integrate(t, p, 0.01, 1000)
+    newton = integrate(t, p, 0.01, 1000, NEWTON)
+    assert np.max(np.abs(newton.states - fixed.states)) < 1e-13
 
 
 def test_stepper_config_validation():

@@ -469,11 +469,14 @@ def test_energy_residual_matches_quadrature_oracle():
 # -- contraction bound -----------------------------------------------------------
 
 
-def brute_force_bound(m, lipschitz, ntau=2001, nsig=20001):
+def brute_force_bound(m, lipschitz, ntau=2001, nsig=20001, rows=64):
     taus = np.linspace(0, 1, ntau)
     sig = np.linspace(0, 1, nsig)
-    vals = np.abs(m.eval_A_grid(taus, sig))
-    integrals = np.trapezoid(vals, sig, axis=1)
+    # the trapezoid over sigma, taken `rows` tau values at a time to bound memory
+    integrals = np.concatenate([
+        np.trapezoid(np.abs(m.eval_A_grid(taus[k:k + rows], sig)), sig, axis=1)
+        for k in range(0, ntau, rows)
+    ])
     return 1.0 / (lipschitz * integrals.max())
 
 
