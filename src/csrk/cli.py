@@ -172,6 +172,8 @@ def _sidecar(out: str, tag: str) -> str:
 
 def cmd_construct(args) -> int:
     started = time.perf_counter()
+    if args.set and args.family in ("ep-legendre", "ep-general"):
+        raise _InputError(f"--set does not apply to the {args.family} family")
     entries = _parse_set_entries(args.set)
     extra = ""
     if args.family == "order":

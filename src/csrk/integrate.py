@@ -64,8 +64,10 @@ class StepperConfig:
     solver: str = "fixed_point"  # or "newton": simplified Newton, one FD Jacobian at z_n per step
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise ValueError("stage tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.solver not in ("fixed_point", "newton"):
             raise ValueError(f"unknown stage solver {self.solver!r}")
 
@@ -286,6 +288,9 @@ def empirical_order(
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("at least three step sizes are required")
+    for h in h_list:
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"step {h} must be positive and finite")
     ref = reference or problem.reference
     if ref is None:
         h_fine = min(h_list) / 8

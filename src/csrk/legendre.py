@@ -20,10 +20,16 @@ and the orthonormal coefficients are only an input/output view.
 ``l_mul`` and ``l_derivative`` act on plain coefficient tuples, so
 intermediate products are not bound by CAP.
 
+L_i(t) is numpy's Legendre polynomial at x = 2t - 1, so a tensor in the
+L basis is also a float series for ``np.polynomial.legendre``.  ``_root``
+holds the normalization sqrt(2i+1), and one three-term recurrence
+(``_basis_values``) gives P_0..P_n at a point, as Scalars for exact input
+and as doubles otherwise.  ``eval_legendre``, ``legendre_table``,
+``UnivariatePoly.__call__`` and exact ``CsrkMethod.eval_A`` all read it.
+
 The monomial helpers (``legendre_monomial``, ``mono_*``, ``to_monomial``,
 ``from_monomial``) are reference implementations for the tests and
-names that ``bench/tracer.py`` traces; no certifier uses them, nor does
-the advisory step-size bound, which works in numpy's Legendre basis.
+names that ``bench/tracer.py`` traces; no certifier uses them.
 """
 
 from __future__ import annotations
@@ -100,50 +106,46 @@ def _shifted_mono(i: int) -> tuple[Fraction, ...]:
 def legendre_monomial(i: int) -> tuple[Scalar, ...]:
     """Exact monomial coefficients of the orthonormal basis element P_i."""
     _check_index(i)
-    norm = Scalar.sqrt(2 * i + 1)
-    return tuple(norm * c for c in _shifted_mono(i))
+    return tuple(_root(2 * i + 1) * c for c in _shifted_mono(i))
+
+
+@lru_cache(maxsize=None)
+def _root(n: int, inverse: bool = False) -> Scalar:
+    return Scalar.sqrt(n, Fraction(1, n) if inverse else 1)
+
+
+def _basis_values(n: int, x):
+    """P_0(x), ..., P_n(x) by the three-term recurrence in 2x - 1.
+
+    Exact x (Scalar, Fraction, int) gives a list of Scalars; anything else
+    is flattened to doubles and gives an (n+1, x.size) array.
+    """
+    _check_index(n)
+    if isinstance(x, (Scalar, Fraction, int)):
+        t = as_scalar(x) * 2 - 1
+        vals = [Scalar(1), t]
+    else:
+        t = 2.0 * np.ravel(np.asarray(x, dtype=float)) - 1.0
+        vals = [np.ones_like(t), t]
+    for k in range(1, n):
+        vals.append(((2 * k + 1) * t * vals[k] - k * vals[k - 1]) / (k + 1))
+    vals = vals[: n + 1]
+    if isinstance(t, Scalar):
+        return [_root(2 * i + 1) * v for i, v in enumerate(vals)]
+    return np.array(vals) * np.sqrt(2 * np.arange(n + 1) + 1)[:, None]
 
 
 def eval_legendre(i: int, x):
-    """Evaluate P_i at x.
-
-    Exact inputs (Scalar, Fraction, int) take the exact three-term
-    recurrence and return a Scalar; floats and numpy arrays take the same
-    recurrence in double precision.
-    """
-    _check_index(i)
-    exact = isinstance(x, (Scalar, Fraction, int))
-    if exact:
-        t = as_scalar(x) * 2 - 1
-        prev, cur = Scalar(1), t
-    else:
-        t = 2.0 * x - 1.0
-        prev, cur = (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0), t
-    if i == 0:
-        val = prev
-    elif i == 1:
-        val = cur
-    else:
-        for n in range(1, i):
-            prev, cur = cur, ((2 * n + 1) * t * cur - n * prev) / (n + 1)
-        val = cur
-    if exact:
-        return Scalar.sqrt(2 * i + 1) * val
-    return float(np.sqrt(2 * i + 1)) * val
+    """P_i(x): a Scalar for exact x, a float or an array shaped like x otherwise."""
+    vals = _basis_values(i, x)
+    if isinstance(vals, list):
+        return vals[i]
+    return float(vals[i, 0]) if np.ndim(x) == 0 else vals[i].reshape(np.shape(x))
 
 
 def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """Float table vals[i, m] = P_i(x[m]) for i = 0..n_max."""
-    _check_index(n_max)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = 2.0 * x - 1.0
-    vals = np.empty((n_max + 1, x.size))
-    vals[0] = 1.0
-    if n_max >= 1:
-        vals[1] = t
-    for n in range(1, n_max):
-        vals[n + 1] = ((2 * n + 1) * t * vals[n] - n * vals[n - 1]) / (n + 1)
-    return vals * np.sqrt(2 * np.arange(n_max + 1) + 1)[:, None]
+    return _basis_values(n_max, np.asarray(x, dtype=float))
 
 
 def _trim(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -200,17 +202,12 @@ class UnivariatePoly:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        if isinstance(x, (Scalar, Fraction, int)):
-            total = Scalar(0)
-            for i, c in enumerate(self.coeffs):
-                total = total + c * eval_legendre(i, x)
-            return total
-        if not self.coeffs:
-            return np.zeros_like(np.asarray(x, dtype=float)) if isinstance(x, np.ndarray) else 0.0
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        table = legendre_table(len(self.coeffs) - 1, xs)
-        vals = self.float_coeffs() @ table
-        return vals if isinstance(x, np.ndarray) else float(vals[0])
+        n = max(len(self.coeffs), 1)
+        vals = _basis_values(n - 1, x)
+        if isinstance(vals, list):
+            return sum((c * v for c, v in zip(self.coeffs, vals)), Scalar(0))
+        out = self.float_coeffs(n) @ vals
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
     def float_coeffs(self, n: int | None = None) -> np.ndarray:
         m = len(self.coeffs) if n is None else n
@@ -294,11 +291,6 @@ def inner_product(u: UnivariatePoly, v: UnivariatePoly) -> Scalar:
 # -- exact algebra in the unnormalized basis L_i = P_i / sqrt(2i+1) ---------
 
 _ZERO = Scalar(0)
-
-
-@lru_cache(maxsize=None)
-def _root(n: int, inverse: bool = False) -> Scalar:
-    return Scalar.sqrt(n, Fraction(1, n) if inverse else 1)
 
 
 def to_l(coeffs: Sequence[Scalar]) -> list[Scalar]:

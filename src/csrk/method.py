@@ -26,8 +26,10 @@ from .legendre import (
     TAU,
     BasisCapExceeded,
     UnivariatePoly,
+    _basis_values,
     antiderivative,
     legendre_table,
+    xi,
 )
 
 __all__ = [
@@ -80,7 +82,8 @@ def _trim_matrix(rows: list[list[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
         while n > 0 and not row[n - 1]:
             n -= 1
         ncols = max(ncols, n)
-    return tuple(tuple(row[:ncols]) for row in rows)
+    # ragged rows are padded, so every row spans the columns 0..pi_sigma
+    return tuple(tuple(row[:ncols]) + (Scalar(0),) * (ncols - len(row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -122,22 +125,15 @@ class CsrkMethod:
         return Scalar(0)
 
     def alpha_floats(self) -> np.ndarray:
-        out = np.zeros((self.pi_tau + 1, self.pi_sigma + 1))
-        for i, row in enumerate(self.alpha):
-            for j, v in enumerate(row):
-                out[i, j] = float(v)
-        return out
+        return np.array(self.alpha or [[0]], dtype=float)
 
     def eval_A(self, tau, sigma):
         """A(tau, sigma): exact for exact inputs, double precision otherwise."""
-        if isinstance(tau, (Scalar, Fraction, int)) and isinstance(
-            sigma, (Scalar, Fraction, int)
-        ):
-            from .legendre import eval_legendre
-
+        exact = (Scalar, Fraction, int)
+        if isinstance(tau, exact) and isinstance(sigma, exact):
+            ptau = _basis_values(self.pi_tau, tau)
+            psigma = _basis_values(self.pi_sigma, sigma)
             total = Scalar(0)
-            ptau = [eval_legendre(i, tau) for i in range(self.pi_tau + 1)]
-            psigma = [eval_legendre(j, sigma) for j in range(self.pi_sigma + 1)]
             for i, row in enumerate(self.alpha):
                 for j, v in enumerate(row):
                     if v:
@@ -147,8 +143,6 @@ class CsrkMethod:
 
     def eval_A_grid(self, taus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
         """Matrix of A values: entry (i, j) = A(taus[i], sigmas[j])."""
-        if not self.alpha:
-            return np.zeros((len(taus), len(sigmas)))
         pt = legendre_table(self.pi_tau, np.asarray(taus, float))
         ps = legendre_table(self.pi_sigma, np.asarray(sigmas, float))
         return pt.T @ self.alpha_floats() @ ps
@@ -251,8 +245,6 @@ def construct_simplifying(
     Guaranteed order min(2*alpha + 2, alpha + beta + 1).  Free parameters
     are restricted to the region i >= beta, j >= alpha.
     """
-    from .legendre import xi
-
     if alpha_level < 1 or beta_level < 1:
         raise ValueError("levels must be >= 1")
     entries = _coerce_free(free)
@@ -471,9 +463,12 @@ def method_to_json_dict(m: CsrkMethod) -> dict:
 
 def method_from_json_dict(data: Mapping) -> CsrkMethod:
     try:
-        alpha = [[Scalar.from_string(v) for v in row] for row in data["alpha"]]
-        b = UnivariatePoly([Scalar.from_string(v) for v in data["B"]])
-        c = UnivariatePoly([Scalar.from_string(v) for v in data["C"]])
+        rows, b_strs, c_strs = data["alpha"], data["B"], data["C"]
+        if not (isinstance(rows, list) and all(isinstance(v, list) for v in (b_strs, c_strs, *rows))):
+            raise TypeError("B and C must be lists and alpha a list of lists")
+        alpha = [[Scalar.from_string(v) for v in row] for row in rows]
+        b = UnivariatePoly([Scalar.from_string(v) for v in b_strs])
+        c = UnivariatePoly([Scalar.from_string(v) for v in c_strs])
         label = str(data.get("label", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed method JSON: {exc}") from exc

@@ -16,6 +16,10 @@ that follow it share one conversion and one ladder.  Projections onto L_i
 are coefficients over 2i+1.  Results are converted back only at the end:
 tensors to orthonormal coefficients, the moment-identity defects to
 monomial coefficients.
+
+The advisory step-size bound reads the same L form as floats: the L basis
+is numpy's Legendre basis on x = 2t - 1 in both variables, so one
+``legval`` call gives the sigma-series of A(tau, .) for all tau samples.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .legendre import (
     l_mul,
     l_sub,
     l_to_monomial,
-    legendre_table,
     tensor_from_l,
     tensor_to_l,
     to_l,
@@ -342,27 +345,31 @@ def check_epm2_condition(
 def stage_contraction_bound(m: CsrkMethod, lipschitz: float) -> float:
     """Step-size ceiling 1 / (L * max_tau int |A(tau, .)|) for unique stages.
 
-    The inner integral of |A| is computed on the sigma-series in numpy's
-    Legendre basis on x = 2 sigma - 1, integrated exactly between its real
-    roots in (-1, 1); the outer maximum by dense sampling plus local
-    refinement to 1e-6 in tau.  Advisory, not a certificate.
+    The sigma-series of A(tau, .) for a batch of tau values comes from one
+    ``legval`` of the L form; the inner integral of |A| is that series
+    integrated exactly between its real roots in (-1, 1), and the outer
+    maximum is taken by dense sampling plus ternary refinement to 1e-6 in
+    tau.  Advisory, not a certificate.
     """
     if lipschitz <= 0:
         raise ValueError("the Lipschitz constant must be positive")
     leg = np.polynomial.legendre
-    # P_j(sigma) = sqrt(2j+1) * Legendre_j(2 sigma - 1)
-    alpha_f = m.alpha_floats() * np.sqrt(2 * np.arange(m.pi_sigma + 1) + 1)
+    # The L form is in numpy's Legendre basis on x = 2t - 1 in both variables.
+    a = np.array(_l_form(m).a or [[0]], dtype=float)
 
-    def g(tau: float) -> float:
-        series = legendre_table(m.pi_tau, np.array([tau]))[:, 0] @ alpha_f
-        series = leg.legtrim(series, 1e-14 * np.max(np.abs(series)))
-        roots = leg.legroots(series)
-        breaks = np.sort(roots[(abs(roots.imag) < 1e-9) & (abs(roots.real) < 1 - 2e-12)].real)
-        anti = leg.legval(np.concatenate([[-1.0], breaks, [1.0]]), leg.legint(series))
-        return float(np.sum(np.abs(np.diff(anti)))) / 2
+    def g_at(taus) -> list[float]:
+        """int_0^1 |A(tau, sigma)| dsigma for each tau, from one sigma-series per tau."""
+        out = []
+        for series in leg.legval(2.0 * np.asarray(taus) - 1.0, a).T:
+            series = leg.legtrim(series, 1e-14 * np.max(np.abs(series)))
+            roots = leg.legroots(series)
+            breaks = np.sort(roots[(abs(roots.imag) < 1e-9) & (abs(roots.real) < 1 - 2e-12)].real)
+            anti = leg.legval(np.concatenate([[-1.0], breaks, [1.0]]), leg.legint(series))
+            out.append(float(np.sum(np.abs(np.diff(anti)))) / 2)
+        return out
 
     taus = np.linspace(0.0, 1.0, 65)
-    vals = [g(t) for t in taus]
+    vals = g_at(taus)
     k = int(np.argmax(vals))
     lo = taus[max(k - 1, 0)]
     hi = taus[min(k + 1, len(taus) - 1)]
@@ -370,7 +377,7 @@ def stage_contraction_bound(m: CsrkMethod, lipschitz: float) -> float:
     while hi - lo > 1e-6:
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        g1, g2 = g(m1), g(m2)
+        g1, g2 = g_at([m1, m2])
         best = max(best, g1, g2)
         if g1 < g2:
             lo = m1

@@ -391,3 +391,61 @@ def test_rerun_interrupted_while_writing_leaves_no_stale_manifest(
     manifest = json.loads((tmp_path / "m.manifest.json").read_text())
     assert manifest["parameters"]["family"] == "simplifying"
     assert [os.path.basename(p) for p in manifest["outputs"]] == ["m.json", "m.report.json"]
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-5"])
+def test_integrate_max_iter_below_one_is_domain_error(tmp_path, capsys, max_iter):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    out = tmp_path / "traj.csv"
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "harmonic", "--h", "0.1", "--steps", "5",
+        "--max-iter", max_iter, "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(stderr.strip())
+    assert err["error"] == "ValueError" and "max_iter must be at least 1" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h_list", ["0.2,0.1,0", "0.2,-0.1,0.05", "0.2,0.1,nan", "inf,0.2,0.1"])
+def test_convergence_nonpositive_or_nonfinite_step_is_domain_error(tmp_path, capsys, h_list):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    out = tmp_path / "conv.json"
+    code, _, stderr = run(
+        capsys,
+        "convergence", str(tab), "--problem", "harmonic",
+        "--h-list", h_list, "--t-final", "2", "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(stderr.strip())
+    assert err["error"] == "ValueError" and "must be positive and finite" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family_args", [
+    ["--family", "ep-legendre", "--omega", "1,1"],
+    ["--family", "ep-general", "--omega", "1", "--generator", "1,1"],
+])
+def test_construct_ep_family_rejects_set(tmp_path, capsys, family_args):
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys, "construct", *family_args, "--set", "1,1=1/2", "--out", str(out),
+    )
+    assert code == 2
+    err = json.loads(stderr.strip())
+    assert err["error"] == "_InputError"
+    assert "--set does not apply to the" in err["message"]
+    assert family_args[1] in err["message"]
+    assert not out.exists()
+
+
+def test_verify_rejects_coefficients_that_are_not_lists(tmp_path, capsys):
+    # a string B would otherwise be read character by character: "12" -> 1 + 2*P_1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"B": "12", "C": ["1/2"], "alpha": [["1/2"]]}))
+    code, stdout, stderr = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert stdout == ""
+    err = json.loads(stderr.strip())
+    assert err["error"] == "_InputError" and "malformed method JSON" in err["message"]

@@ -142,6 +142,9 @@ def test_empirical_order_input_validation():
         empirical_order(gauss2_tableau(), p, [0.2, 0.1], 2.0)
     with pytest.raises(ValueError):
         empirical_order(gauss2_tableau(), p, [0.2, 0.1, 0.07], 2.0)
+    for bad in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"step {bad} must be positive and finite"):
+            empirical_order(gauss2_tableau(), p, [0.2, 0.1, bad], 2.0)
 
 
 def test_energy_drift_ep_method_high_stage_quadrature():
@@ -331,5 +334,14 @@ def test_newton_agrees_with_fixed_point_on_kepler():
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(tol=0.0)
+    # NaN passed "tol <= 0", and then no iteration could ever reach it
+    with pytest.raises(ValueError, match="stage tolerance must be positive"):
+        StepperConfig(tol=math.nan)
     with pytest.raises(ValueError):
         StepperConfig(solver="bisection")
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_stepper_config_rejects_max_iter_below_one(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        StepperConfig(max_iter=max_iter)

@@ -202,6 +202,45 @@ def test_legendre_table_matches_pointwise():
         assert np.max(np.abs(table[i] - eval_legendre(i, xs))) < 1e-13
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17, CAP])
+def test_float_values_match_numpy_legvander(n):
+    # independent oracle: numpy's Legendre basis on 2x - 1, times sqrt(2i+1)
+    xs = np.concatenate([np.linspace(0, 1, 41), [0.123456789, 0.987654321]])
+    oracle = (np.polynomial.legendre.legvander(2 * xs - 1, n) * np.sqrt(2 * np.arange(n + 1) + 1)).T
+    table = legendre_table(n, xs)
+    assert table.shape == (n + 1, xs.size)
+    assert np.max(np.abs(table - oracle)) < 1e-13
+    for i in range(n + 1):
+        assert np.array_equal(eval_legendre(i, xs), table[i])
+        assert eval_legendre(i, float(xs[7])) == table[i, 7]
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 3, 7, 12, CAP])
+def test_exact_values_match_sympy_shifted_legendre(i):
+    # P_i(x) = sqrt(2i+1) * Legendre_i(2x - 1), so P_i(q) / sqrt(2i+1) is rational
+    for q in (Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(5, 9), Fraction(1), 1):
+        expected = sympy.legendre(i, 2 * sympy.Rational(q.numerator, q.denominator) - 1)
+        ours = (eval_legendre(i, q) / Scalar.sqrt(2 * i + 1)).as_fraction()
+        assert ours == Fraction(int(expected.p), int(expected.q))
+    assert eval_legendre(i, Scalar(Fraction(1, 3))) == eval_legendre(i, Fraction(1, 3))
+
+
+def horner(mono, x):
+    total = Scalar(0)
+    for c in reversed(mono):
+        total = total * x + c
+    return total
+
+
+def test_exact_poly_call_matches_horner_on_monomial_form():
+    rng = random.Random(29)
+    for n in (1, 2, 4, 9, 16):
+        p = UnivariatePoly(random_l_coeffs(rng, n, radicals=True))
+        mono = p.to_monomial()
+        for q in (Fraction(0), Fraction(1, 5), Fraction(3, 8), Fraction(1), 2, Fraction(-1, 3)):
+            assert p(q) == horner(mono, q)
+
+
 # -- unnormalized basis L_i = P_i / sqrt(2i+1) ------------------------------------
 
 

@@ -246,3 +246,25 @@ def test_method_from_json_rejects_garbage():
         method_from_json_dict({"label": "x"})
     with pytest.raises(ValueError):
         method_from_json_dict({"label": "x", "B": ["1"], "C": ["nonsense!!"], "alpha": [["1"]]})
+    # B and C must be lists and alpha a list of lists: a string "12" is not 1 + 2*P_1
+    for data in (
+        {"B": "12", "C": ["1/2"], "alpha": [["1/2"]]},
+        {"B": ["1"], "C": "1/2", "alpha": [["1/2"]]},
+        {"B": ["1"], "C": ["1/2"], "alpha": ["1/2"]},
+        {"B": ["1"], "C": ["1/2"], "alpha": [["1/2"], "0"]},
+        {"B": {"0": "1"}, "C": ["1/2"], "alpha": [["1/2"]]},
+    ):
+        with pytest.raises(ValueError, match="malformed method JSON"):
+            method_from_json_dict(data)
+
+
+def test_ragged_rows_are_padded_to_the_full_width():
+    # row 0 is shorter than row 1: pi_sigma must still count row 1's column
+    m = method_from_json_dict(
+        {"B": ["1"], "C": ["1/2", "1/6*sqrt(3)"], "alpha": [["1/2"], ["1/6*sqrt(3)", "1"]]}
+    )
+    assert m.pi_sigma == 1
+    assert m.alpha[0] == (Scalar(Fraction(1, 2)), Scalar(0))
+    assert m.alpha_floats()[1, 1] == 1.0
+    # A(1, 1) = 1/2 + (sqrt(3)/6) * sqrt(3) + 1 * sqrt(3) * sqrt(3)
+    assert m.eval_A(Fraction(1), Fraction(1)) == 4
