@@ -446,8 +446,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 2
-    except (NonFinite, ValueError) as exc:
-        # constraint violations and rejected parameter values (domain errors)
+    except (NonFinite, ValueError, MemoryError) as exc:
+        # constraint violations and rejected or oversized parameter values (domain errors)
         _emit_error(exc)
         return 1
 

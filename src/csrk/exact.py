@@ -9,14 +9,22 @@ Addition, subtraction and multiplication are closed; division is
 supported when the divisor is a single term (a rational multiple of one
 radical), which covers every constant arising in the coefficient
 constructions downstream.
+
+Multiplication needs no factoring: for square-free r and s,
+sqrt(r) * sqrt(s) = g * sqrt((r/g) * (s/g)) with g = gcd(r, s).  Only
+``Scalar.sqrt`` factors its radicand (by trial division), so it accepts
+radicands up to 10**12, and ``from_string`` rejects decimal exponents
+beyond 4300.  The four orderings share one exact test, the sign of the
+difference.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 __all__ = ["Scalar", "as_scalar"]
 
@@ -26,11 +34,17 @@ _TERM_SPLIT = re.compile(r"\+|(?<=[^+\-eE*/(])(?=-)")
 # Whitespace between two digits or dots would join two numbers into one.
 _SPLIT_NUMBER = re.compile(r"[\d.]\s+[\d.]")
 
+# Decimal exponents ("1e-5") in a string; beyond Python's limit on the
+# digits of an integer string (4300), Fraction would build the power anyway.
+_EXPONENT = re.compile(r"[eE][+-]?(\d+)")
+_MAX_EXPONENT = 4300
+# Largest radicand that sqrt factors: trial division stays below 10**6 steps.
+_MAX_RADICAND = 10**12
+
 # Working precision (decimal digits) for sign decisions and float export.
 _APPROX_DIGITS = 48
 
 
-@lru_cache(maxsize=None)
 def _square_free(n: int) -> tuple[int, int]:
     """Split n > 0 as outer**2 * core with core square-free."""
     outer, core = 1, 1
@@ -51,6 +65,18 @@ def _square_free(n: int) -> tuple[int, int]:
 def _sqrt_approx(r: int, digits: int = _APPROX_DIGITS) -> Fraction:
     """sqrt(r) rounded down to a multiple of 10**-digits; the error is below 10**-digits."""
     return Fraction(isqrt(r * 10 ** (2 * digits)), 10**digits)
+
+
+def _ordering(test):
+    """One comparison operator: test(sign of self - other, 0), exactly."""
+
+    def compare(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return test((self - o).sign(), 0)
+
+    return compare
 
 
 class Scalar:
@@ -81,6 +107,8 @@ class Scalar:
         """coeff * sqrt(n) for a positive integer n, reduced to square-free form."""
         if not isinstance(n, int) or n <= 0:
             raise ValueError(f"sqrt radicand must be a positive integer, got {n!r}")
+        if n > _MAX_RADICAND:
+            raise ValueError(f"sqrt radicand {n} exceeds 10**12")
         outer, core = _square_free(n)
         return cls._raw({core: Fraction(coeff) * outer})
 
@@ -95,6 +123,9 @@ class Scalar:
         text = "".join(text.split())
         if not text:
             raise ValueError("empty exact-scalar string")
+        for exponent in _EXPONENT.findall(text):
+            if int(exponent) > _MAX_EXPONENT:
+                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in exact-scalar string")
         total: dict[int, Fraction] = {}
         try:
             for term in _TERM_SPLIT.split(text):
@@ -199,8 +230,10 @@ class Scalar:
         terms: dict[int, Fraction] = {}
         for r, q in self._terms.items():
             for s, p in o._terms.items():
-                outer, core = _square_free(r * s)
-                terms[core] = terms.get(core, Fraction(0)) + q * p * outer
+                # r and s are square-free: r*s = g**2 * (r/g)*(s/g) with g = gcd(r, s)
+                g = gcd(r, s)
+                core = (r // g) * (s // g)
+                terms[core] = terms.get(core, Fraction(0)) + q * p * g
         return Scalar._raw(terms)
 
     __rmul__ = __mul__
@@ -248,33 +281,10 @@ class Scalar:
             return hash(self._terms.get(1, Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
-    def _cmp(self, other) -> int:
-        diff = self - other
-        return diff.sign()
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) >= 0
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     # -- formatting --------------------------------------------------------
 

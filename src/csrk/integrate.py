@@ -64,8 +64,8 @@ class StepperConfig:
     solver: str = "fixed_point"  # or "newton": simplified Newton, one FD Jacobian at z_n per step
 
     def __post_init__(self):
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError("stage tolerance must be positive")
+        if not 0 < self.tol < math.inf:  # also rejects NaN
+            raise ValueError(f"stage tolerance must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.solver not in ("fixed_point", "newton"):
@@ -247,6 +247,8 @@ def integrate(
     """n_steps equal steps from the problem's initial condition."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    if not (math.isfinite(h) and h != 0):
+        raise ValueError(f"step h must be nonzero and finite, got {h}")
     times = problem.t0 + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, problem.dim))
     iters = np.zeros(n_steps + 1, dtype=int)
@@ -277,39 +279,35 @@ def empirical_order(
     h_list,
     t_final: float,
     cfg: StepperConfig = StepperConfig(),
-    reference: Callable[[float], np.ndarray] | None = None,
 ) -> OrderEstimate:
     """Least-squares slope of log global error against log step size.
 
-    The reference solution is, in order of preference: the supplied
-    callable, the problem's analytic reference, or a run at h_min / 8 with
-    the same tableau.
+    The inputs are checked before any integration runs.  The reference
+    state at t_final is the problem's analytic reference, else the final
+    state of a run at h_min / 8 with the same tableau.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("at least three step sizes are required")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"final time {t_final} must be positive and finite")
+    n_steps = []
     for h in h_list:
         if not (math.isfinite(h) and h > 0):
             raise ValueError(f"step {h} must be positive and finite")
-    ref = reference or problem.reference
-    if ref is None:
-        h_fine = min(h_list) / 8
-        n_fine = round(t_final / h_fine)
-        fine = integrate(t, problem, t_final / n_fine, n_fine, cfg)
-        ref_final = fine.final_state
-
-        def ref(time: float, _z=ref_final, _tf=t_final):
-            if abs(time - _tf) > 1e-9:
-                raise ValueError("fine-run reference is only available at t_final")
-            return _z
-
-    errors = []
-    for h in h_list:
         n = round(t_final / h)
         if n < 1 or abs(n * h - t_final) > 1e-9:
             raise ValueError(f"step {h} does not divide the final time {t_final}")
-        traj = integrate(t, problem, h, n, cfg)
-        errors.append(float(np.max(np.abs(traj.final_state - np.asarray(ref(t_final))))))
+        n_steps.append(n)
+    if problem.reference is not None:
+        target = np.asarray(problem.reference(t_final))
+    else:
+        n_fine = round(t_final / (min(h_list) / 8))
+        target = integrate(t, problem, t_final / n_fine, n_fine, cfg).final_state
+    errors = [
+        float(np.max(np.abs(integrate(t, problem, h, n, cfg).final_state - target)))
+        for h, n in zip(h_list, n_steps)
+    ]
     if all(e < 1e-12 for e in errors):
         return OrderEstimate(None, (), tuple(errors), tuple(h_list), True)
     pairwise = tuple(

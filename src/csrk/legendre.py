@@ -2,23 +2,29 @@
 
 The basis P_0, P_1, ... is orthonormal for the L2 inner product on [0, 1]
 and P_i has exact degree i.  Univariate polynomials are stored by their
-coefficients in this basis; all structural constants (the xi ladder, the
-per-degree normalizations sqrt(2*i+1)) live in the exact Scalar field, so
-basis conversions, antiderivatives and inner products are exact.
+coefficients in this basis; the per-degree normalizations sqrt(2*i+1)
+live in the exact Scalar field, so basis conversions, antiderivatives and
+inner products are exact.
 
 Exact algebra runs in the unnormalized basis L_i = P_i / sqrt(2*i+1)
 (L_i(1) = 1), where every structural constant is rational:
 
     tau * L_n = L_n / 2 + ((n+1) L_{n+1} + n L_{n-1}) / (2 (2n+1)),
     L_n' = 2 * sum over k < n with n - k odd of (2k+1) L_k,
+    int_0^tau L_0 = (L_0 + L_1) / 2,
+    int_0^tau L_n = (L_{n+1} - L_{n-1}) / (2 (2n+1))  for n >= 1,
     int_0^1 L_i L_j = delta_ij / (2i+1).
 
 ``to_l``/``from_l`` convert coefficient lists, and ``tensor_to_l``/
 ``tensor_from_l`` coefficient tensors such as a method's alpha.
 Products, powers of tau and the family tensors are radical-free there,
 and the orthonormal coefficients are only an input/output view.
-``l_mul`` and ``l_derivative`` act on plain coefficient tuples, so
-intermediate products are not bound by CAP.
+``l_mul``, ``l_derivative`` and ``l_antiderivative`` act on plain
+coefficient tuples, so intermediate products are not bound by CAP;
+``UnivariatePoly.derivative``, ``antiderivative`` and
+``monomial_to_legendre`` are orthonormal views of them.  ``xi``, the
+ladder constant of the orthonormal antiderivative, remains for the
+simplifying family; the algebra here does not use it.
 
 L_i(t) is numpy's Legendre polynomial at x = 2t - 1, so a tensor in the
 L basis is also a float series for ``np.polynomial.legendre``.  ``_root``
@@ -62,6 +68,7 @@ __all__ = [
     "l_sub",
     "l_dot",
     "l_derivative",
+    "l_antiderivative",
     "l_to_monomial",
     "ONE",
     "TAU",
@@ -244,27 +251,8 @@ class UnivariatePoly:
 
 
 def antiderivative(p: UnivariatePoly) -> UnivariatePoly:
-    """The antiderivative q(x) = integral of p from 0 to x, exactly.
-
-    Termwise: the antiderivative of P_0 is xi_1*P_1 + P_0/2, and of P_i
-    (i >= 1) is xi_{i+1}*P_{i+1} - xi_i*P_{i-1}.
-    """
-    if not p.coeffs:
-        return UnivariatePoly()
-    n = len(p.coeffs)
-    if n > CAP:
-        raise BasisCapExceeded(f"antiderivative would exceed basis cap {CAP}")
-    out = [Scalar(0)] * (n + 1)
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            out[0] = out[0] + c * Fraction(1, 2)
-            out[1] = out[1] + c * xi(1)
-        else:
-            out[i + 1] = out[i + 1] + c * xi(i + 1)
-            out[i - 1] = out[i - 1] - c * xi(i)
-    return UnivariatePoly(out)
+    """The antiderivative q(x) = integral of p from 0 to x, exactly."""
+    return UnivariatePoly(from_l(l_antiderivative(to_l(p.coeffs))))
 
 
 @lru_cache(maxsize=None)
@@ -274,10 +262,10 @@ def monomial_to_legendre(m: int) -> UnivariatePoly:
         raise ValueError(f"monomial exponent must be nonnegative, got {m}")
     if m > CAP:
         raise BasisCapExceeded(f"monomial degree {m} exceeds cap {CAP}")
-    poly = UnivariatePoly([1])
+    a: Sequence[Scalar] = (Scalar(1),)
     for _ in range(m):
-        poly = antiderivative(poly)
-    return poly * factorial(m)
+        a = l_antiderivative(a)
+    return UnivariatePoly(from_l(a)) * factorial(m)
 
 
 def inner_product(u: UnivariatePoly, v: UnivariatePoly) -> Scalar:
@@ -391,6 +379,20 @@ def l_derivative(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
     for k in range(len(a) - 2, -1, -1):
         tail[(k + 1) % 2] = tail[(k + 1) % 2] + a[k + 1]
         out[k] = tail[(k + 1) % 2] * (4 * k + 2)
+    return _trim(out)
+
+
+def l_antiderivative(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """int_0^tau of an L-basis polynomial, in the L basis (rational, exact)."""
+    out = [_ZERO] * (len(a) + 1)
+    for n, c in enumerate(a):
+        if c:
+            w = c * Fraction(1, 2 * (2 * n + 1))
+            out[n + 1] = out[n + 1] + w
+            if n:
+                out[n - 1] = out[n - 1] - w
+            else:
+                out[0] = out[0] + w
     return _trim(out)
 
 

@@ -8,7 +8,9 @@ validated exactly on every construction.
 
 The construction families fix B = 1 and C = tau, except ep-general,
 which derives both B and C from its generators; other general (B, C)
-methods can be built through new_method directly.
+methods can be built through new_method directly.  ep-legendre is
+ep-general on the generators P_0..P_{n-1}, for which the derived B is 1
+and C is tau.
 """
 
 from __future__ import annotations
@@ -173,8 +175,6 @@ def _entries_to_matrix(entries: Mapping[tuple[int, int], Scalar]) -> list[list[S
         return [[Scalar(0)]]
     nrows = max(i for i, _ in entries) + 1
     ncols = max(j for _, j in entries) + 1
-    if nrows > CAP + 1 or ncols > CAP + 1:
-        raise BasisCapExceeded(f"entry indices exceed basis cap {CAP}")
     rows = [[Scalar(0)] * ncols for _ in range(nrows)]
     for (i, j), v in entries.items():
         rows[i][j] = v
@@ -366,25 +366,6 @@ class EpGeneralResult:
     c_matches_tau: bool
 
 
-def _unit_poly(i: int) -> UnivariatePoly:
-    return UnivariatePoly([0] * i + [1])
-
-
-def _outer_update(
-    entries: dict[tuple[int, int], Scalar],
-    weight: Scalar,
-    column: UnivariatePoly,
-    row: UnivariatePoly,
-) -> None:
-    for i, u in enumerate(column.coeffs):
-        if not u:
-            continue
-        for j, v in enumerate(row.coeffs):
-            if v:
-                key = (i, j)
-                entries[key] = entries.get(key, Scalar(0)) + weight * u * v
-
-
 def construct_ep_legendre(
     spec: EpSpec | Sequence[ScalarLike],
     label: str | None = None,
@@ -400,16 +381,15 @@ def construct_ep_legendre(
         spec = EpSpec(tuple(as_scalar(w) for w in spec))
     if spec.generators is not None:
         raise ValueError("spec carries generators; use construct_ep_general")
-    entries: dict[tuple[int, int], Scalar] = {}
-    for i, w in enumerate(spec.omegas):
-        if w:
-            _outer_update(entries, w, antiderivative(_unit_poly(i)), _unit_poly(i))
-    method = CsrkMethod(
-        _entries_to_matrix(entries),
-        ONE,
-        TAU,
-        label or f"ep-legendre(omega=[{','.join(str(w) for w in spec.omegas)}])",
+    # generators P_0..P_{n-1}: B = omega_0 * P_0 = 1 and C = int P_0 = tau; a zero
+    # weight gets the zero generator, so its index is never built or capped
+    generators = tuple(
+        UnivariatePoly([0] * i + [1] if w else []) for i, w in enumerate(spec.omegas)
     )
+    method = construct_ep_general(
+        EpSpec(spec.omegas, generators),
+        label or f"ep-legendre(omega=[{','.join(str(w) for w in spec.omegas)}])",
+    ).method
     kappa = 0
     while spec.omega_at(kappa) == 1:
         kappa += 1
@@ -440,7 +420,10 @@ def construct_ep_general(
     b_poly = UnivariatePoly()
     for w, g in zip(spec.omegas, spec.generators):
         if w and g:
-            _outer_update(entries, w, antiderivative(g), g)
+            for i, u in enumerate(antiderivative(g).coeffs):
+                for j, v in enumerate(g.coeffs):
+                    if u and v:
+                        entries[(i, j)] = entries.get((i, j), Scalar(0)) + w * u * v
             # int_0^1 g is its P_0 coefficient in the orthonormal basis
             b_poly = b_poly + g * (w * g.coeff(0))
     matrix = _entries_to_matrix(entries)

@@ -449,3 +449,111 @@ def test_verify_rejects_coefficients_that_are_not_lists(tmp_path, capsys):
     assert stdout == ""
     err = json.loads(stderr.strip())
     assert err["error"] == "_InputError" and "malformed method JSON" in err["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--h", "0"], "step h must be nonzero and finite"),
+    (["--h", "nan"], "step h must be nonzero and finite"),
+    (["--h", "0.1", "--tol", "inf"], "stage tolerance must be positive and finite"),
+])
+def test_integrate_zero_step_or_infinite_tolerance_is_domain_error(tmp_path, capsys, args, message):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    out = tmp_path / "traj.csv"
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "harmonic", *args, "--steps", "5", "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(stderr.strip())
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not out.exists()
+
+
+def test_integrate_memory_error_is_reported_as_json(tmp_path, capsys, monkeypatch):
+    # stands in for --steps 100000000000, whose arrays cannot be allocated
+    def oversized(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(csrk.cli, "integrate", oversized)
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    out = tmp_path / "traj.csv"
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "harmonic", "--h", "0.1",
+        "--steps", "100000000000", "--out", str(out),
+    )
+    assert code == 1
+    assert json.loads(stderr.strip()) == {
+        "error": "MemoryError", "message": "Unable to allocate 745. GiB for an array",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_integrate_overflow_is_non_finite_at_step_zero(tmp_path, capsys):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "harmonic", "--h", "1e300", "--steps", "3",
+        "--out", str(tmp_path / "traj.csv"),
+    )
+    assert code == 1
+    err = json.loads(stderr.strip())
+    assert err["error"] == "NonFinite" and err["step_index"] == 0
+
+
+@pytest.mark.parametrize("t_final", ["-2", "0", "inf", "nan"])
+def test_convergence_bad_final_time_is_domain_error(tmp_path, capsys, t_final):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    out = tmp_path / "conv.json"
+    code, _, stderr = run(
+        capsys,
+        "convergence", str(tab), "--problem", "harmonic",
+        "--h-list", "0.2,0.1,0.05", "--t-final", t_final, "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(stderr.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("final time") and "must be positive and finite" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("sqrt(10000000000037)/2", "exceeds 10**12"),
+    ("1e-5000", "decimal exponent beyond 4300"),
+])
+def test_construct_oversized_exact_value_is_usage_error(tmp_path, capsys, value, message):
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "order", "--order", "4", "--set", f"2,1={value}",
+        "--out", str(out),
+    )
+    assert code == 2
+    err = json.loads(stderr.strip())
+    assert err["error"] == "_InputError" and message in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family_args", [
+    ["--family", "order", "--order", "3", "--set", "40,1=1"],
+    ["--family", "simplifying", "--alpha", "40", "--beta", "1"],
+])
+def test_construct_beyond_the_basis_cap_is_domain_error(tmp_path, capsys, family_args):
+    out = tmp_path / "m.json"
+    code, _, stderr = run(capsys, "construct", *family_args, "--out", str(out))
+    assert code == 1
+    assert json.loads(stderr.strip())["error"] == "BasisCapExceeded"
+    assert not out.exists()
+
+
+def test_verify_method_beyond_the_basis_cap_is_domain_error(tmp_path, capsys):
+    rows = [["1/2"], ["1/6*sqrt(3)"]] + [["0"]] * 31 + [["0", "1"]]
+    assert len(rows) == 34
+    method = tmp_path / "m.json"
+    method.write_text(json.dumps({"B": ["1"], "C": ["1/2", "1/6*sqrt(3)"], "alpha": rows}))
+    code, stdout, stderr = run(capsys, "verify", str(method))
+    assert code == 1
+    assert stdout == ""
+    err = json.loads(stderr.strip())
+    assert err["error"] == "BasisCapExceeded" and "34x2 exceeds cap 32" in err["message"]

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.exact import Scalar, as_scalar
+from csrk.exact import Scalar, _square_free, as_scalar
 
 
 def test_construction_and_rational_part():
@@ -266,3 +267,76 @@ def test_from_string_parses_signed_sums_of_natural_terms(terms):
         value = _NATURAL_FORMS[form](q, n, k)
         expected = expected - value if "-" in sign else expected + value
     assert Scalar.from_string(text) == expected
+
+
+# -- one ordering test, one radical product, bounded parsing work -------------
+
+_ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+_RATIONALS = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=50)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ta=_TERMS, b=st.one_of(_TERMS, _RATIONALS), nudge=st.integers(-1, 1))
+def test_orderings_against_mpmath_oracle(ta, b, nudge):
+    """Each ordering is the 200-digit sign of the difference, for Scalar, int and Fraction b."""
+    a = _scalar(ta)
+    with mpmath.workdps(200):
+        if isinstance(b, list):
+            mp_b, b = _mp_value(b), _scalar(b)
+        else:
+            mp_b = mpmath.mpf(b.numerator) / b.denominator
+        diff = _mp_value(ta) - mp_b
+        expected = 0 if a - b == 0 else (1 if diff > 0 else -1)
+    for op in _ORDERINGS:
+        assert op(a, b) is op(expected, 0)
+        assert op(b, a) is op(0, expected)
+    if not isinstance(b, Scalar):
+        # a rational within 10**-3 of a, where the difference nearly cancels
+        near = Fraction(math.floor(float(a) * 1000) + nudge, 1000)
+        with mpmath.workdps(200):
+            sign = mpmath.sign(_mp_value(ta) - mpmath.mpf(near.numerator) / near.denominator)
+        expected = 0 if a == near else int(sign)
+        for op in _ORDERINGS:
+            assert op(a, near) is op(expected, 0)
+
+
+def test_orderings_leave_floats_to_python():
+    a = Scalar.sqrt(2)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(a, name)(1.5) is NotImplemented
+    for op in _ORDERINGS:
+        with pytest.raises(TypeError):
+            op(a, 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, a)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_SQUARE_FREE = st.sets(st.sampled_from(_PRIMES), max_size=5).map(math.prod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=_SQUARE_FREE, s=_SQUARE_FREE, q=_RATIONALS, p=_RATIONALS)
+def test_radical_product_matches_trial_division(r, s, q, p):
+    outer, core = _square_free(r * s)
+    assert Scalar.sqrt(r, q) * Scalar.sqrt(s, p) == Scalar.sqrt(core, q * p * outer)
+
+
+def test_sqrt_rejects_radicands_above_ten_to_the_twelve():
+    assert Scalar.sqrt(10**12) == 10**6
+    # 10000000000037 is prime: trial division used to take over a second
+    for n in (10**12 + 1, 10000000000037):
+        with pytest.raises(ValueError, match=r"radicand .* exceeds 10\*\*12"):
+            Scalar.sqrt(n)
+    with pytest.raises(ValueError, match=r"exceeds 10\*\*12"):
+        Scalar.from_string("1/2-sqrt(10000000000037)/6")
+
+
+def test_from_string_rejects_exponents_beyond_the_int_string_limit():
+    assert Scalar.from_string("1e4300") == 10**4300
+    assert Scalar.from_string("1e-4300-sqrt(2)") == Fraction(1, 10**4300) - Scalar.sqrt(2)
+    for bad in ("1e4301", "1E-100000", "1/2-3e5000*sqrt(2)", "2.5e00000000009999"):
+        with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+            Scalar.from_string(bad)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from csrk.discretize import discretize, explicit_euler, gauss_legendre
 from csrk.integrate import (
     NonConvergence,
+    NonFinite,
     OdeProblem,
     StepperConfig,
     builtin_problem,
@@ -145,6 +147,9 @@ def test_empirical_order_input_validation():
     for bad in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"step {bad} must be positive and finite"):
             empirical_order(gauss2_tableau(), p, [0.2, 0.1, bad], 2.0)
+    for bad in (-2.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"final time {bad} must be positive and finite"):
+            empirical_order(gauss2_tableau(), p, [0.2, 0.1, 0.05], bad)
 
 
 def test_energy_drift_ep_method_high_stage_quadrature():
@@ -337,6 +342,9 @@ def test_stepper_config_validation():
     # NaN passed "tol <= 0", and then no iteration could ever reach it
     with pytest.raises(ValueError, match="stage tolerance must be positive"):
         StepperConfig(tol=math.nan)
+    # an infinite tolerance accepts the first iterate: the stages go unsolved
+    with pytest.raises(ValueError, match="stage tolerance must be positive and finite"):
+        StepperConfig(tol=math.inf)
     with pytest.raises(ValueError):
         StepperConfig(solver="bisection")
 
@@ -345,3 +353,53 @@ def test_stepper_config_validation():
 def test_stepper_config_rejects_max_iter_below_one(max_iter):
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         StepperConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_integrate_rejects_zero_or_nonfinite_step(h):
+    with pytest.raises(ValueError, match="step h must be nonzero and finite"):
+        integrate(gauss2_tableau(), builtin_problem("harmonic"), h, 5)
+    # a single step of size 0 stays the identity (the residuals at h = 0 use it)
+    p = builtin_problem("harmonic")
+    assert np.array_equal(rk_step(gauss2_tableau(), p, 0.0, p.z0, 0.0), p.z0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stage_overflow_is_non_finite_at_step_zero():
+    with pytest.raises(NonFinite, match="stage iteration produced non-finite values") as err:
+        integrate(gauss2_tableau(), builtin_problem("harmonic"), 1e300, 3)
+    assert err.value.step_index == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_update_overflow_is_non_finite_at_its_step():
+    # constant rhs: the stages converge to finite values, the update overflows
+    p = OdeProblem(dim=1, rhs=lambda t, z: np.array([1e308]), z0=np.array([-1e308]))
+    with pytest.raises(NonFinite, match="step produced non-finite state") as err:
+        integrate(gauss2_tableau(), p, 1.5, 3)
+    assert err.value.step_index == 1
+
+
+def test_empirical_order_checks_every_step_before_integrating(monkeypatch):
+    calls = []
+    # the package exports the function integrate under the module's name
+    module = importlib.import_module("csrk.integrate")
+    monkeypatch.setattr(module, "integrate", lambda *args: calls.append(args))
+    # the pendulum has no analytic reference, so a fine run would come first
+    with pytest.raises(ValueError, match="step 0.07 does not divide the final time 2.0"):
+        empirical_order(gauss2_tableau(), builtin_problem("pendulum"), [0.2, 0.1, 0.07], 2.0)
+    assert calls == []
+
+
+def test_empirical_order_evaluates_the_reference_once():
+    harmonic = builtin_problem("harmonic")
+    times = []
+
+    def reference(time):
+        times.append(time)
+        return harmonic.reference(time)
+
+    p = dataclasses.replace(harmonic, reference=reference)
+    est = empirical_order(gauss2_tableau(), p, [0.2, 0.1, 0.05], 2.0)
+    assert times == [2.0]
+    assert est == empirical_order(gauss2_tableau(), harmonic, [0.2, 0.1, 0.05], 2.0)

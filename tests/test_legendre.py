@@ -16,6 +16,7 @@ from csrk.legendre import (
     eval_legendre,
     inner_product,
     from_l,
+    l_antiderivative,
     l_derivative,
     l_mul,
     l_to_monomial,
@@ -320,3 +321,50 @@ def test_derivative_matches_monomial_reference():
     assert l_to_monomial(power) == tuple(x40)
     assert l_to_monomial(l_derivative(power)) == tuple([Scalar(0)] * 39 + [Scalar(40)])
 
+
+
+def sympy_series(coeffs, var, orthonormal=False):
+    """sum_n c_n * L_n(var), or * P_n(var), with L_n(t) = legendre(n, 2t - 1)."""
+    return sum(
+        (
+            sympy.sympify(str(c))
+            * (sympy.sqrt(2 * n + 1) if orthonormal else 1)
+            * sympy.legendre(n, 2 * var - 1)
+            for n, c in enumerate(coeffs)
+        ),
+        sympy.Integer(0),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, CAP + 4])
+def test_l_antiderivative_matches_sympy_integral(n):
+    rng = random.Random(29 + n)
+    t, tau = sympy.symbols("t tau")
+    a = random_l_coeffs(rng, n, radicals=n < 8)
+    expected = sympy.integrate(sympy_series(a, t), (t, 0, tau))
+    got = l_antiderivative(a)
+    # degree n may pass CAP: the antiderivative is not capped
+    assert len(got) == n + 1
+    assert sympy.expand(sympy_series(got, tau) - expected) == 0
+    assert l_derivative(got) == tuple(a)
+
+
+def test_l_antiderivative_of_basis_elements():
+    half = Scalar(Fraction(1, 2))
+    assert l_antiderivative([Scalar(1)]) == (half, half)
+    for n in range(1, 10):
+        w = Scalar(Fraction(1, 2 * (2 * n + 1)))
+        expected = [Scalar(0)] * (n + 2)
+        expected[n - 1], expected[n + 1] = -w, w
+        assert l_antiderivative([Scalar(0)] * n + [Scalar(1)]) == tuple(expected)
+    assert l_antiderivative([]) == ()
+
+
+def test_antiderivative_matches_sympy_integral():
+    rng = random.Random(31)
+    t, x = sympy.symbols("t x")
+    for n in (1, 2, 4, 9):
+        p = UnivariatePoly(random_l_coeffs(rng, n, radicals=True))
+        expected = sympy.integrate(sympy_series(p.coeffs, t, orthonormal=True), (t, 0, x))
+        got = sympy_series(antiderivative(p).coeffs, x, orthonormal=True)
+        assert sympy.expand(got - expected) == 0

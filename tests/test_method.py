@@ -205,6 +205,27 @@ def test_ep_general_matches_legendre_family():
     assert res2.method.B == ONE
 
 
+@pytest.mark.parametrize("omegas", [
+    [1],
+    [1, 1],
+    [1, Fraction(2, 3)],
+    [1, 0, Fraction(-3, 4)],
+    [1, 1, Fraction(1, 2), Scalar.sqrt(2)],
+    [1, Fraction(1, 5), 0, 0, 3, Scalar.sqrt(3, Fraction(1, 7))],
+])
+def test_ep_legendre_is_ep_general_on_basis_generators(omegas):
+    res = construct_ep_legendre(omegas)
+    gens = tuple(UnivariatePoly([0] * i + [1]) for i in range(len(omegas)))
+    general = construct_ep_general(EpSpec(tuple(Scalar(w) for w in omegas), gens), res.method.label)
+    assert res.method == general.method
+    assert general.c_matches_tau and res.method.B == ONE
+
+
+def test_ep_legendre_ignores_zero_weights_beyond_the_cap():
+    wide = construct_ep_legendre([1, 1] + [0] * 40, "w").method
+    assert wide == construct_ep_legendre([1, 1], "w").method
+
+
 def test_ep_general_non_tau_node_polynomial():
     res = construct_ep_general(EpSpec((Scalar(2),), (UnivariatePoly([1]),)))
     assert not res.c_matches_tau

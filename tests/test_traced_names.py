@@ -25,6 +25,8 @@ def _tracer_table(name):
 
 FUNCTION_SPANS = _tracer_table("FUNCTION_SPANS")
 METHOD_SPANS = _tracer_table("METHOD_SPANS")
+SCALAR_OPS = _tracer_table("SCALAR_OPS")
+SCALAR_ZERO_TESTS = _tracer_table("SCALAR_ZERO_TESTS")
 
 
 def test_traced_functions_exist():
@@ -45,3 +47,14 @@ def test_traced_methods_exist():
         if not callable(getattr(getattr(importlib.import_module(module), cls, None), attribute, None))
     ]
     assert not missing, f"bench/tracer.py traces methods the package lacks: {missing}"
+
+
+def test_traced_scalar_operations_are_defined_on_scalar():
+    # the tracer swaps each entry out of Scalar.__dict__, so an inherited
+    # or renamed operator would break a traced run
+    from csrk.exact import Scalar
+
+    names = SCALAR_OPS + SCALAR_ZERO_TESTS
+    assert "__lt__" in names and "__eq__" in names
+    missing = [name for name in names if not callable(Scalar.__dict__.get(name))]
+    assert not missing, f"bench/tracer.py swaps Scalar operations it lacks: {missing}"
