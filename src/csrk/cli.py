@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,7 @@ from .discretize import (
     lobatto,
     predicted_rk_order,
     rk_symplectic_residual,
+    tableau_from_csv,
     tableau_from_json_dict,
     tableau_to_csv,
     tableau_to_json_dict,
@@ -94,15 +96,24 @@ def _load_method(path: str):
 
 
 def _load_tableau(path: str):
-    data = _load_json(path)
+    """A tableau file in either format that discretize writes: JSON (an
+    object) or CSV, told apart by the first non-blank character."""
     try:
-        return tableau_from_json_dict(data)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _InputError(f"cannot read tableau from {path}: {exc}") from exc
+    try:
+        if text.lstrip().startswith("{"):
+            return tableau_from_json_dict(json.loads(text))
+        return tableau_from_csv(text)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise _InputError(f"cannot read tableau from {path}: {exc}") from exc
 
 
 def _json_text(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    # strict JSON: a NaN or infinity raises instead of writing a bare token
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def _replace(path: Path, text: str) -> None:
@@ -226,8 +237,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     method = _load_method(args.method)
     report = build_property_report(method)
-    json.dump(report_to_json_dict(report), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(report_to_json_dict(report)))
     return 0
 
 
@@ -270,6 +280,8 @@ def cmd_discretize(args) -> int:
 
 
 def _make_problem(args):
+    if not math.isfinite(args.e):  # recorded in the manifest for every problem
+        raise ValueError(f"Kepler eccentricity must be finite, got {args.e}")
     kwargs = {}
     if args.problem == "kepler":
         kwargs["eccentricity"] = args.e
@@ -446,7 +458,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 2
-    except (NonFinite, ValueError, MemoryError) as exc:
+    except (NonFinite, ValueError, OverflowError, MemoryError) as exc:
         # constraint violations and rejected or oversized parameter values (domain errors)
         _emit_error(exc)
         return 1

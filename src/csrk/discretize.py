@@ -179,11 +179,13 @@ def tableau_from_json_dict(data) -> ButcherTableau:
         raise ValueError(f"malformed tableau JSON: {exc}") from exc
 
 
+def _csv_header(stages: int) -> list[str]:
+    return ["c", "b"] + [f"a{j + 1}" for j in range(stages)]
+
+
 def tableau_to_csv(t: ButcherTableau) -> str:
     """One row per stage: c_i, b_i, a_i1..a_is (shortest round-trip decimals)."""
-    lines = []
-    header = ["c", "b"] + [f"a{j + 1}" for j in range(t.stages)]
-    lines.append(",".join(header))
+    lines = [",".join(_csv_header(t.stages))]
     for i in range(t.stages):
         row = [repr(float(t.c[i])), repr(float(t.b[i]))]
         row += [repr(float(v)) for v in t.a[i]]
@@ -192,8 +194,16 @@ def tableau_to_csv(t: ButcherTableau) -> str:
 
 
 def tableau_from_csv(text: str) -> ButcherTableau:
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    c = np.array([float(r[0]) for r in rows])
-    b = np.array([float(r[1]) for r in rows])
-    a = np.array([[float(v) for v in r[2:]] for r in rows])
-    return ButcherTableau(a, b, c)
+    """Read tableau_to_csv's format; anything else raises ValueError."""
+    lines = text.strip().splitlines()
+    s = len(lines) - 1
+    try:
+        if s < 1 or lines[0].split(",") != _csv_header(s):
+            header = ",".join(_csv_header(max(s, 1)))
+            raise ValueError(f"expected the header {header} and one row per stage")
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        if rows.shape != (s, s + 2):
+            raise ValueError(f"expected {s} rows of {s + 2} numbers")
+    except ValueError as exc:  # also a ragged row or a non-numeric cell
+        raise ValueError(f"malformed tableau CSV: {exc}") from exc
+    return ButcherTableau(rows[:, 2:], rows[:, 1], rows[:, 0])

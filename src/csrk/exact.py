@@ -13,9 +13,20 @@ constructions downstream.
 Multiplication needs no factoring: for square-free r and s,
 sqrt(r) * sqrt(s) = g * sqrt((r/g) * (s/g)) with g = gcd(r, s).  Only
 ``Scalar.sqrt`` factors its radicand (by trial division), so it accepts
-radicands up to 10**12, and ``from_string`` rejects decimal exponents
-beyond 4300.  The four orderings share one exact test, the sign of the
-difference.
+radicands up to 10**12; ``readable_str``, the form of a value in a file,
+refuses a larger radicand, so that ``from_string`` reads back every
+value written.  ``from_string`` rejects decimal exponents beyond 4300.
+The four orderings share one exact test, the sign of the difference.
+
+Signs and floats read one integer bracket.  With D the common denominator
+of the coefficients, x = sum of n_k*sqrt(r_k)/D for integers n_k, and each
+n*sqrt(r)*2**bits lies between isqrt(n**2*r*4**bits) and one more (both
+ends equal when n**2*r*4**bits is a square, so always for r = 1).  The
+sums give integers lo <= D*2**bits*x <= hi.  ``sign`` doubles bits until
+the bracket excludes 0; ``float`` doubles them until lo/(D*2**bits) and
+hi/(D*2**bits) round to the same double.  Integer true division rounds
+correctly, so the float is the correctly rounded value of x and never
+contradicts its sign.
 """
 
 from __future__ import annotations
@@ -23,14 +34,13 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-__all__ = ["Scalar", "as_scalar"]
+__all__ = ["Scalar", "as_scalar", "readable_str"]
 
-# Terms are separated by "+" or begin at a "-", except a "-" that is an
-# exponent's sign ("1e-3") or follows a sign, "*", "/" or "(".
-_TERM_SPLIT = re.compile(r"\+|(?<=[^+\-eE*/(])(?=-)")
+# Terms are separated by "+" or begin at a "-", except a sign of an
+# exponent ("1e-3", "1e+3") and a "-" that follows a sign, "*", "/" or "(".
+_TERM_SPLIT = re.compile(r"(?<![eE])\+|(?<=[^+\-eE*/(])(?=-)")
 # Whitespace between two digits or dots would join two numbers into one.
 _SPLIT_NUMBER = re.compile(r"[\d.]\s+[\d.]")
 
@@ -38,11 +48,9 @@ _SPLIT_NUMBER = re.compile(r"[\d.]\s+[\d.]")
 # digits of an integer string (4300), Fraction would build the power anyway.
 _EXPONENT = re.compile(r"[eE][+-]?(\d+)")
 _MAX_EXPONENT = 4300
-# Largest radicand that sqrt factors: trial division stays below 10**6 steps.
+# Largest radicand that sqrt factors (trial division stays below 10**6
+# steps), so also the largest that a string read back may hold.
 _MAX_RADICAND = 10**12
-
-# Working precision (decimal digits) for sign decisions and float export.
-_APPROX_DIGITS = 48
 
 
 def _square_free(n: int) -> tuple[int, int]:
@@ -59,12 +67,6 @@ def _square_free(n: int) -> tuple[int, int]:
             core *= d
         d += 1
     return outer, core * n
-
-
-@lru_cache(maxsize=None)
-def _sqrt_approx(r: int, digits: int = _APPROX_DIGITS) -> Fraction:
-    """sqrt(r) rounded down to a multiple of 10**-digits; the error is below 10**-digits."""
-    return Fraction(isqrt(r * 10 ** (2 * digits)), 10**digits)
 
 
 def _ordering(test):
@@ -158,29 +160,36 @@ class Scalar:
             raise ValueError(f"{self} has irrational radical parts")
         return self._terms.get(1, Fraction(0))
 
-    def _approx(self) -> Fraction:
-        return sum((q * _sqrt_approx(r) for r, q in self._terms.items()), Fraction(0))
+    def _bracket(self, bits: int) -> tuple[int, int, int]:
+        """Integers lo, hi, den with lo/den <= self <= hi/den and den = D*2**bits."""
+        den = lcm(*(q.denominator for q in self._terms.values()))
+        lo = hi = 0
+        for r, q in self._terms.items():
+            n = q.numerator * (den // q.denominator)
+            m = n * n * r << 2 * bits
+            s = isqrt(m)
+            t = s + (s * s != m)  # floor and ceiling of |n|*sqrt(r)*2**bits
+            lo, hi = (lo + s, hi + t) if n > 0 else (lo - t, hi - s)
+        return lo, hi, den << bits
 
     def sign(self) -> int:
-        """Exact sign: bound each sqrt from both sides, doubling the digits
-        until the interval excludes 0 (it does for every nonzero value)."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1:  # q*sqrt(r) has the sign of q
-            return 1 if next(iter(self._terms.values())) > 0 else -1
-        digits = _APPROX_DIGITS
-        while True:
-            lo = hi = Fraction(0)
-            for r, q in self._terms.items():
-                s = _sqrt_approx(r, digits)  # exact for r = 1
-                a, b = q * s, q * (s + Fraction(r != 1, 10**digits))
-                lo, hi = lo + min(a, b), hi + max(a, b)
+        """Exact sign: the bracket narrows until it excludes 0, as it does
+        for every nonzero value."""
+        bits = 64
+        while self._terms:
+            lo, hi, _ = self._bracket(bits)
             if lo > 0 or hi < 0:
                 return 1 if lo > 0 else -1
-            digits *= 2
+            bits *= 2
+        return 0
 
     def __float__(self) -> float:
-        return float(self._approx())
+        bits = 64
+        while True:
+            lo, hi, den = self._bracket(bits)
+            if lo / den == hi / den:
+                return lo / den
+            bits *= 2
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -302,6 +311,17 @@ class Scalar:
 
 
 ScalarLike = Scalar | Fraction | int | str
+
+
+def readable_str(value: Scalar) -> str:
+    """str(value) for a file that from_string reads back.  Arithmetic keeps
+    any radicand, so one above 10**12 is refused here, not when reading."""
+    for r in value._terms:
+        if r > _MAX_RADICAND:
+            raise ValueError(
+                f"radicand {r} of {value} exceeds 10**12, so from_string could not read it back"
+            )
+    return str(value)
 
 
 def as_scalar(value: ScalarLike) -> Scalar:

@@ -21,7 +21,7 @@ Products, powers of tau and the family tensors are radical-free there,
 and the orthonormal coefficients are only an input/output view.
 ``l_mul``, ``l_derivative`` and ``l_antiderivative`` act on plain
 coefficient tuples, so intermediate products are not bound by CAP;
-``UnivariatePoly.derivative``, ``antiderivative`` and
+``UnivariatePoly.derivative`` and the functions ``antiderivative`` and
 ``monomial_to_legendre`` are orthonormal views of them.  ``xi``, the
 ladder constant of the orthonormal antiderivative, remains for the
 simplifying family; the algebra here does not use it.
@@ -222,9 +222,6 @@ class UnivariatePoly:
         for i, c in enumerate(self.coeffs[:m]):
             out[i] = float(c)
         return out
-
-    def antiderivative(self) -> "UnivariatePoly":
-        return antiderivative(self)
 
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly(from_l(l_derivative(to_l(self.coeffs))))

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import Scalar, ScalarLike, as_scalar
+from .exact import Scalar, ScalarLike, as_scalar, readable_str
 from .legendre import (
     CAP,
     ONE,
@@ -438,9 +438,9 @@ def construct_ep_general(
 def method_to_json_dict(m: CsrkMethod) -> dict:
     return {
         "label": m.label,
-        "B": [str(c) for c in m.B.coeffs] or ["0"],
-        "C": [str(c) for c in m.C.coeffs] or ["0"],
-        "alpha": [[str(v) for v in row] for row in m.alpha],
+        "B": [readable_str(c) for c in m.B.coeffs] or ["0"],
+        "C": [readable_str(c) for c in m.C.coeffs] or ["0"],
+        "alpha": [[readable_str(v) for v in row] for row in m.alpha],
     }
 
 

@@ -448,5 +448,5 @@ def report_to_json_dict(r: PropertyReport) -> dict:
             "energy": [str(v) for v in r.ep_residuals],
         },
         "flags": r.flags,
-        "h_bound_per_unit_L": r.h_bound_per_unit_L,
+        "h_bound_per_unit_L": "inf" if math.isinf(r.h_bound_per_unit_L) else r.h_bound_per_unit_L,
     }

@@ -15,6 +15,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """Parse text as strict JSON, as Node's JSON.parse would: no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def test_construct_simplifying_writes_method_report_manifest(tmp_path, capsys):
     out = tmp_path / "m.json"
     code, stdout, _ = run(
@@ -557,3 +566,121 @@ def test_verify_method_beyond_the_basis_cap_is_domain_error(tmp_path, capsys):
     assert stdout == ""
     err = json.loads(stderr.strip())
     assert err["error"] == "BasisCapExceeded" and "34x2 exceeds cap 32" in err["message"]
+
+
+# -- documented forms of errors and JSON outputs --------------------------------
+
+
+def test_construct_radicand_above_the_parse_bound_is_domain_error(tmp_path, capsys):
+    # the product radicand 3 * 999983 * 999979 = 2999886001071 could not be read back
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "ep-general", "--omega", "1",
+        "--generator", "sqrt(999983),sqrt(999979)", "--out", str(out),
+    )
+    assert code == 1
+    err = strict_json(stderr.strip())
+    assert err["error"] == "ValueError"
+    assert "radicand 2999886001071" in err["message"] and "exceeds 10**12" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_overflowing_float_export_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "symplectic", "--set", "1,2=1e400", "--out", str(out),
+    )
+    assert code == 1
+    assert strict_json(stderr.strip())["error"] == "OverflowError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_bound_is_written_as_the_string_inf(tmp_path, capsys):
+    # omega = 0 gives A = 0, so the stage iteration contracts for every h
+    out = tmp_path / "m.json"
+    code, _, _ = run(
+        capsys,
+        "construct", "--family", "ep-general", "--omega", "0", "--generator", "1",
+        "--out", str(out),
+    )
+    assert code == 0
+    report = strict_json((tmp_path / "m.report.json").read_text())
+    assert report["h_bound_per_unit_L"] == "inf"
+    strict_json((tmp_path / "m.manifest.json").read_text())
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    assert strict_json(stdout) == report
+
+
+def test_nan_eccentricity_is_rejected_before_writing(tmp_path, capsys):
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    before = _snapshot(tmp_path)
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "harmonic", "--e", "nan",
+        "--h", "0.1", "--steps", "3", "--out", str(tmp_path / "traj.csv"),
+    )
+    assert code == 1
+    err = strict_json(stderr.strip())
+    assert err["error"] == "ValueError" and "eccentricity must be finite" in err["message"]
+    assert _snapshot(tmp_path) == before
+
+
+# -- tableau files in either format ------------------------------------------------
+
+
+def test_integrate_and_convergence_read_the_csv_tableau(tmp_path, capsys):
+    method = tmp_path / "m.json"
+    run(capsys, "construct", "--family", "symplectic", "--out", str(method))
+    outputs = {}
+    for fmt in ("json", "csv"):
+        tab = tmp_path / f"g2.{fmt}"
+        code, _, _ = run(
+            capsys,
+            "discretize", str(method), "--stages", "2", "--format", fmt, "--out", str(tab),
+        )
+        assert code == 0
+        traj, conv = tmp_path / f"traj-{fmt}.csv", tmp_path / f"conv-{fmt}.json"
+        code, _, _ = run(
+            capsys,
+            "integrate", str(tab), "--problem", "kepler", "--h", "0.01", "--steps", "50",
+            "--out", str(traj),
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys,
+            "convergence", str(tab), "--problem", "harmonic",
+            "--h-list", "0.2,0.1,0.05", "--t-final", "1", "--out", str(conv),
+        )
+        assert code == 0
+        outputs[fmt] = (
+            traj.read_bytes(),
+            (tmp_path / f"traj-{fmt}.diagnostics.json").read_bytes(),
+            conv.read_bytes(),
+        )
+    assert outputs["csv"] == outputs["json"]
+
+
+@pytest.mark.parametrize("text", [
+    "c,b,a1,a2\n0.2,0.5,0.25,0.1\n0.8,0.5,0.5\n",  # ragged row
+    "c,b,a1\n0.5,1.0,half\n",  # non-numeric cell
+    "",  # empty file
+    "t,z1,z2,iters\n0.0,1.0,0.0,0\n",  # a trajectory, not a tableau
+])
+def test_malformed_csv_tableau_is_input_error(tmp_path, capsys, text):
+    tab = tmp_path / "bad.csv"
+    tab.write_text(text)
+    for command, args in (
+        ("integrate", ["--h", "0.1", "--steps", "3"]),
+        ("convergence", ["--h-list", "0.2,0.1,0.05", "--t-final", "1"]),
+    ):
+        out = tmp_path / "out.csv"
+        code, _, stderr = run(
+            capsys, command, str(tab), "--problem", "harmonic", *args, "--out", str(out),
+        )
+        assert code == 2
+        err = strict_json(stderr.strip())
+        assert err["error"] == "_InputError" and "malformed tableau CSV" in err["message"]
+        assert not out.exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.exact import Scalar, _square_free, as_scalar
+from csrk.exact import Scalar, _square_free, as_scalar, readable_str
 
 
 def test_construction_and_rational_part():
@@ -115,6 +115,10 @@ def test_from_string_accepts_natural_forms():
     assert Scalar.from_string("2*sqrt(12)/3") == Scalar.sqrt(3, Fraction(4, 3))
     assert Scalar.from_string("1e-3-sqrt(2)") == Fraction(1, 1000) - Scalar.sqrt(2)
     assert Scalar.from_string("3-1") == 2
+    # an exponent's "+" is not a term separator
+    assert Scalar.from_string("1e+5") == 100000
+    assert Scalar.from_string("1E+2-1") == 99
+    assert Scalar.from_string("2.5e+1*sqrt(3)") == Scalar.sqrt(3, 25)
     for bad in ("1/0", "sqrt(3)/0", "sqrt(3)/", "sqrt(3)*2", "sqrt(-3)", "2-", "+1", "sqrt3"):
         with pytest.raises(ValueError):
             Scalar.from_string(bad)
@@ -184,6 +188,53 @@ def test_sign_against_mpmath_oracle(terms, digits, nudge):
         expected = 0 if v.is_rational and v.as_fraction() == 0 else (1 if exact > 0 else -1)
     assert v.sign() == expected
     assert (abs(v) == v) == (expected >= 0)
+
+
+def _correctly_rounded(x: mpmath.mpf) -> float:
+    """The double nearest to the binary value x (ties to even), via Fraction."""
+    man, exp = x.man_exp  # |x| = man * 2**exp
+    f = float(Fraction(int(man)) * Fraction(2) ** int(exp))
+    return -f if x < 0 else f
+
+
+def test_float_near_cancellation_is_correctly_rounded():
+    # sqrt(2) minus its 65-digit truncation is +7.3e-67; its float has the same sign
+    digits = 141421356237309504880168872420969807856967187537694807317667973799
+    v = Scalar.sqrt(2) - Fraction(digits, 10**65)
+    with mpmath.workdps(300):
+        expected = _correctly_rounded(mpmath.sqrt(2) - mpmath.mpf(digits) / 10**65)
+    assert float(v) == expected > 0
+    assert float(-v) == -expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=_TERMS, digits=st.integers(0, 90), nudge=st.integers(-2, 2), scale=st.integers(-1100, 1000)
+)
+def test_float_against_mpmath_oracle(terms, digits, nudge, scale):
+    """float(x) is the correctly rounded 300-digit value, down to cancellation
+    of 90 digits and over the whole exponent range, subnormals included."""
+    with mpmath.workdps(300):
+        approx = Fraction(int(mpmath.floor(_mp_value(terms) * 10**digits)) + nudge, 10**digits)
+        v = (_scalar(terms) - approx) * Fraction(2) ** scale
+        # from the merged terms, so equal radicands cancel exactly
+        exact = mpmath.fsum(
+            mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(r) for r, q in v._terms.items()
+        )
+        expected = _correctly_rounded(exact)
+    got = float(v)
+    assert got == expected
+    assert (got > 0) - (got < 0) in (v.sign(), 0)
+
+
+def test_readable_str_refuses_radicands_that_from_string_rejects():
+    # products of radicals are unbounded: 3 * 999983 * 999979 = 2999886001071
+    big = Scalar.sqrt(3) * Scalar.sqrt(999983) * Scalar.sqrt(999979)
+    for v in (big, Fraction(1, 2) - big / 6):
+        with pytest.raises(ValueError, match=r"radicand 2999886001071 .* exceeds 10\*\*12"):
+            readable_str(v)
+    ok = Scalar.sqrt(999983) * Scalar.sqrt(999979) + 1  # radicand 999962000357
+    assert Scalar.from_string(readable_str(ok)) == ok
 
 
 def test_hash_agrees_with_fraction_and_int():
@@ -321,7 +372,8 @@ _SQUARE_FREE = st.sets(st.sampled_from(_PRIMES), max_size=5).map(math.prod)
 @given(r=_SQUARE_FREE, s=_SQUARE_FREE, q=_RATIONALS, p=_RATIONALS)
 def test_radical_product_matches_trial_division(r, s, q, p):
     outer, core = _square_free(r * s)
-    assert Scalar.sqrt(r, q) * Scalar.sqrt(s, p) == Scalar.sqrt(core, q * p * outer)
+    # core reaches 6e13, beyond the 10**12 that Scalar.sqrt accepts; products are unbounded
+    assert Scalar.sqrt(r, q) * Scalar.sqrt(s, p) == Scalar._raw({core: q * p * outer})
 
 
 def test_sqrt_rejects_radicands_above_ten_to_the_twelve():

@@ -206,6 +206,30 @@ def test_symmetry_residual_gauss_vs_euler():
     assert symmetry_residual(gauss2_tableau(), p, p.z0, 0.0) == 0.0
 
 
+def test_every_problem_starts_at_time_zero():
+    # OdeProblem has no start-time field: integrate, symmetry_residual and
+    # symplecticity_residual all step from t = 0
+    assert "t0" not in {f.name for f in dataclasses.fields(OdeProblem)}
+    seen = []
+
+    def rhs(t, z):
+        seen.append(t)
+        return np.array([1.0, 0.0])
+
+    p = OdeProblem(dim=2, rhs=rhs, z0=np.zeros(2))
+    t = midpoint_tableau()
+    for h in (0.25, -0.25):
+        traj = integrate(t, p, h, 2)
+        assert math.copysign(1.0, traj.times[0]) == 1.0  # t_0 = +0.0, also for h < 0
+        assert traj.times.tolist() == [0.0, h, 2 * h]
+    seen.clear()
+    symmetry_residual(t, p, p.z0, 0.5)
+    assert seen[0] == 0.25  # the midpoint stage of the forward step from t = 0
+    seen.clear()
+    symplecticity_residual(t, p, p.z0, 0.5)
+    assert set(seen) == {0.25}
+
+
 def test_symplecticity_residual_gauss_vs_avf():
     p = builtin_problem("kepler", eccentricity=0.6)
     t = gauss2_tableau()

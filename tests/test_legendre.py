@@ -136,6 +136,11 @@ def test_derivative_inverts_antiderivative_and_vanishes_at_zero():
         assert q(Fraction(0)) == 0
 
 
+def test_antiderivative_is_only_the_module_function():
+    # the tracer binds csrk.legendre.antiderivative; a method copy would bypass it
+    assert not hasattr(UnivariatePoly, "antiderivative")
+
+
 def test_orthonormality_against_gauss_quadrature():
     nodes, weights = np.polynomial.legendre.leggauss(20)
     nodes = (nodes + 1) / 2

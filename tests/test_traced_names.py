@@ -2,8 +2,9 @@
 
 ``bench/tracer.py`` wraps functions and methods by (module, attribute)
 name; a renamed or deleted name would only surface when a traced
-benchmark run fails.  The tracer's tables are read from its source with
-``ast``, so the benchmark directory is neither imported nor written.
+benchmark run fails.  The tracer's tables, and the names that
+``Tracer.install`` swaps directly, are read from its source with ``ast``,
+so the benchmark directory is neither imported nor written.
 """
 
 import ast
@@ -13,9 +14,11 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
+TREE = ast.parse(TRACER.read_text())
+
+
 def _tracer_table(name):
-    tree = ast.parse(TRACER.read_text())
-    for node in tree.body:
+    for node in TREE.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
@@ -58,3 +61,61 @@ def test_traced_scalar_operations_are_defined_on_scalar():
     assert "__lt__" in names and "__eq__" in names
     missing = [name for name in names if not callable(Scalar.__dict__.get(name))]
     assert not missing, f"bench/tracer.py swaps Scalar operations it lacks: {missing}"
+
+
+def _direct_swaps():
+    """(module, attribute) for each _swap(owner, "attribute", ...) in Tracer.install
+    whose owner is a local bound to sys.modules.get("module") or sys.modules["module"]."""
+    install = next(
+        node for node in ast.walk(TREE)
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    modules = {}
+    for node in ast.walk(install):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            value = node.value
+            if isinstance(value, ast.Call) and ast.unparse(value.func) == "sys.modules.get":
+                key = value.args[0]
+            elif isinstance(value, ast.Subscript) and ast.unparse(value.value) == "sys.modules":
+                key = value.slice
+            else:
+                continue
+            if isinstance(key, ast.Constant):
+                modules[node.targets[0].id] = key.value
+    swaps = []
+    for node in ast.walk(install):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "self._swap"
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            owner = node.args[0]
+            assert isinstance(owner, ast.Name) and owner.id in modules, ast.unparse(node)
+            swaps.append((modules[owner.id], node.args[1].value))
+    return swaps
+
+
+def test_directly_swapped_names_exist():
+    swaps = _direct_swaps()
+    assert ("csrk.integrate", "_solve_stages") in swaps
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute in swaps
+        if not callable(getattr(importlib.import_module(module), attribute, None))
+    ]
+    assert not missing, f"bench/tracer.py swaps names the package lacks: {missing}"
+
+
+def test_solve_stages_returns_stage_values_and_iterations():
+    # the tracer's stage counter unpacks (u, iters) from every call
+    import numpy as np
+
+    from csrk.discretize import discretize, gauss_legendre
+    from csrk.integrate import StepperConfig, _solve_stages, builtin_problem
+    from csrk.method import construct_symplectic
+
+    tableau = discretize(construct_symplectic({}), gauss_legendre(2))
+    problem = builtin_problem("harmonic")
+    u, iters = _solve_stages(tableau, problem, 0.0, problem.z0, 0.1, StepperConfig())
+    assert isinstance(u, np.ndarray) and u.shape == (2, 2)
+    assert type(iters) is int and iters >= 1
