@@ -1,10 +1,21 @@
 """Command-line interface: construct, verify, discretize, integrate, convergence.
 
-Exit codes: 0 success, 1 domain error (constraint violations and invalid
-parameters), 2 I/O or parse error, 3 stage-solver non-convergence.  Errors
-are emitted as one-line JSON objects on stderr.  Every command that writes
-files computes all of them first and then writes them through one writer,
-which removes the stale run manifest, puts each output in place by
+Every command runs on one path.  A ``cmd_*`` function only computes: it
+returns ``({path: text}, summary)`` and writes, prints and times nothing.
+``main`` alone starts the clock, calls the command named by
+``args.command``, writes the outputs and the run manifest through
+``_write_outputs`` (the manifest's inputs are the positional file
+arguments), prints the summary, and turns an exception into its exit code
+through the ordered table ``_EXIT_CODES``: 0 success, 1 domain error
+(constraint violations and invalid parameters), 2 I/O or parse error,
+3 stage-solver non-convergence.  Errors are emitted as one-line JSON
+objects on stderr.  ``construct`` reads its families from one table,
+``_FAMILIES``: family -> (required options, builder), which also supplies
+argparse's choices and the missing-option messages.  Commands and builders
+are looked up by name when called, so a rebinding of a module name (as a
+tracer does) is seen.
+
+The writer removes the stale run manifest, puts each output in place by
 renaming a complete temporary file over it, and writes the new manifest
 last the same way, so a manifest only ever names complete outputs of the
 run it describes.
@@ -77,16 +88,12 @@ class _InputError(Exception):
     """File missing, unreadable, or not matching the expected schema."""
 
 
-def _load_json(path: str) -> dict:
+def _load_method(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _load_method(path: str):
-    data = _load_json(path)
     try:
         return method_from_json_dict(data)
     except _DOMAIN_ERRORS:
@@ -128,25 +135,23 @@ def _replace(path: Path, text: str) -> None:
         raise
 
 
-def _write_outputs(command: str, args, inputs: list[str], outputs: dict[str, str], started: float):
+def _write_outputs(args, outputs: dict[str, str], started: float) -> None:
     """Write {path: text} outputs, then the run manifest named after the first.
 
     The stale manifest is deleted before any output is replaced, so a run
     interrupted midway leaves no manifest rather than one naming its
-    half-written outputs.
+    half-written outputs.  The manifest's inputs are the command's
+    positional file arguments.
     """
     stem = Path(next(iter(outputs))).with_suffix("")
     manifest_path = stem.parent / (stem.name + ".manifest.json")
     manifest_path.unlink(missing_ok=True)
     for path, text in outputs.items():
         _replace(Path(path), text)
-    params = {
-        k: v for k, v in vars(args).items() if k != "func" and not callable(v)
-    }
     manifest = {
-        "command": command,
-        "inputs": inputs,
-        "parameters": params,
+        "command": args.command,
+        "inputs": [getattr(args, name) for name in ("method", "tableau") if hasattr(args, name)],
+        "parameters": vars(args),
         "version": __version__,
         "outputs": list(outputs),
         "wall_time_s": time.perf_counter() - started,
@@ -181,76 +186,69 @@ def _sidecar(out: str, tag: str) -> str:
 # -- construct ----------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
-    if args.set and args.family in ("ep-legendre", "ep-general"):
-        raise _InputError(f"--set does not apply to the {args.family} family")
-    entries = _parse_set_entries(args.set)
-    extra = ""
-    if args.family == "order":
-        if args.order is None:
-            raise _InputError("--order is required for the order family")
-        method = construct_order_by_order(args.order, entries, args.label)
-    elif args.family == "simplifying":
-        if args.alpha is None or args.beta is None:
-            raise _InputError("--alpha and --beta are required for the simplifying family")
-        method = construct_simplifying(args.alpha, args.beta, entries, args.label)
-    elif args.family == "symplectic":
-        method = construct_symplectic(entries, args.label)
-    elif args.family == "symmetric":
-        method = construct_symmetric(entries, args.label)
-    elif args.family == "ep-legendre":
-        if args.omega is None:
-            raise _InputError("--omega is required for the ep-legendre family")
-        result = construct_ep_legendre(_parse_exact_list(args.omega), args.label)
-        method = result.method
-        extra = (
-            f" kappa={result.kappa} claimed_order={result.claimed_order}"
-            f" conjugate_tuned={result.conjugate_tuned}"
-        )
-    else:  # ep-general
-        if args.omega is None or not args.generator:
-            raise _InputError("--omega and --generator are required for the ep-general family")
-        spec = EpSpec(
-            tuple(_parse_exact_list(args.omega)),
-            tuple(UnivariatePoly(_parse_exact_list(g)) for g in args.generator),
-        )
-        result = construct_ep_general(spec, args.label)
-        method = result.method
-        extra = f" c_matches_tau={result.c_matches_tau}"
+def _ep_legendre(omega, label):
+    return construct_ep_legendre(_parse_exact_list(omega), label)
 
+
+def _ep_general(omega, generators, label):
+    return construct_ep_general(EpSpec(
+        tuple(_parse_exact_list(omega)),
+        tuple(UnivariatePoly(_parse_exact_list(g)) for g in generators),
+    ), label)
+
+
+# family -> (options it requires, name of its builder).  A builder takes the
+# required options' values, then the --set entries (every family but the ep
+# ones), then the label.  Names are looked up when called, not bound here.
+_FAMILIES = {
+    "order": (("order",), "construct_order_by_order"),
+    "simplifying": (("alpha", "beta"), "construct_simplifying"),
+    "symplectic": ((), "construct_symplectic"),
+    "symmetric": ((), "construct_symmetric"),
+    "ep-legendre": (("omega",), "_ep_legendre"),
+    "ep-general": (("omega", "generator"), "_ep_general"),
+}
+
+
+def cmd_construct(args):
+    required, builder = _FAMILIES[args.family]
+    takes_set = not args.family.startswith("ep-")
+    if args.set and not takes_set:
+        raise _InputError(f"--set does not apply to the {args.family} family")
+    entries = [_parse_set_entries(args.set)] if takes_set else []
+    values = [getattr(args, name) for name in required]
+    if None in values:
+        names = " and ".join(f"--{name}" for name in required)
+        verb = "is" if len(required) == 1 else "are"
+        raise _InputError(f"{names} {verb} required for the {args.family} family")
+    built = globals()[builder](*values, *entries, args.label)
+    # an ep builder returns a result whose other fields join the summary
+    method = getattr(built, "method", built)
+    extra = "" if built is method else "".join(
+        f" {k}={v}" for k, v in vars(built).items() if k != "method"
+    )
     report = build_property_report(method)
-    _write_outputs("construct", args, [], {
+    outputs = {
         args.out: _json_text(method_to_json_dict(method)),
         _sidecar(args.out, "report"): _json_text(report_to_json_dict(report)),
-    }, started)
-    print(
+    }
+    return outputs, (
         f"constructed {method.label}: guaranteed_order={report.guaranteed_order} "
         f"verified_order_direct={report.verified_order_direct} flags={report.flags}{extra}"
     )
-    return 0
 
 
-# -- verify ---------------------------------------------------------------------
+# -- verify / discretize --------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
+    report = build_property_report(_load_method(args.method))
+    return {}, _json_text(report_to_json_dict(report)).rstrip("\n")
+
+
+def cmd_discretize(args):
     method = _load_method(args.method)
-    report = build_property_report(method)
-    sys.stdout.write(_json_text(report_to_json_dict(report)))
-    return 0
-
-
-# -- discretize -------------------------------------------------------------------
-
-
-def cmd_discretize(args) -> int:
-    started = time.perf_counter()
-    method = _load_method(args.method)
-    if args.rule == "gauss":
-        rule = gauss_legendre(args.stages)
-    else:
-        rule = lobatto(args.stages)
+    rule = gauss_legendre(args.stages) if args.rule == "gauss" else lobatto(args.stages)
     tableau = discretize(method, rule)
     info = {
         "rk_symplectic_residual": rk_symplectic_residual(tableau),
@@ -264,22 +262,25 @@ def cmd_discretize(args) -> int:
         table = _json_text(tableau_to_json_dict(tableau))
     else:
         table = tableau_to_csv(tableau)
-    _write_outputs("discretize", args, [args.method], {
-        args.out: table,
-        _sidecar(args.out, "info"): _json_text(info),
-    }, started)
-    print(
+    outputs = {args.out: table, _sidecar(args.out, "info"): _json_text(info)}
+    return outputs, (
         f"{tableau.provenance}: s={tableau.stages} "
         f"predicted_rk_order={info['predicted_rk_order']} "
         f"rk_symplectic_residual={info['rk_symplectic_residual']:.3e}"
     )
-    return 0
 
 
 # -- integrate / convergence -------------------------------------------------------
 
+_DIAGNOSTICS = (
+    "empirical_order", "pairwise_ratios", "energy_drift", "symmetry_residual",
+    "symplecticity_residual",
+)
 
-def _make_problem(args):
+
+def _run_inputs(args):
+    """The tableau, problem and stepper configuration of a run."""
+    tableau = _load_tableau(args.tableau)
     if not math.isfinite(args.e):  # recorded in the manifest for every problem
         raise ValueError(f"Kepler eccentricity must be finite, got {args.e}")
     kwargs = {}
@@ -290,30 +291,14 @@ def _make_problem(args):
             kwargs["z0"] = [float(v) for v in args.z0.split(",")]
         except ValueError as exc:
             raise _InputError(f"cannot parse --z0 {args.z0!r}") from exc
-    return builtin_problem(args.problem, **kwargs)
+    problem = builtin_problem(args.problem, **kwargs)
+    return tableau, problem, StepperConfig(tol=args.tol, max_iter=args.max_iter, solver=args.solver)
 
 
-def _make_config(args) -> StepperConfig:
-    return StepperConfig(tol=args.tol, max_iter=args.max_iter, solver=args.solver)
-
-
-def _diagnostics_skeleton() -> dict:
-    return {
-        "empirical_order": None,
-        "pairwise_ratios": None,
-        "energy_drift": None,
-        "symmetry_residual": None,
-        "symplecticity_residual": None,
-    }
-
-
-def cmd_integrate(args) -> int:
-    started = time.perf_counter()
-    tableau = _load_tableau(args.tableau)
-    problem = _make_problem(args)
-    cfg = _make_config(args)
+def cmd_integrate(args):
+    tableau, problem, cfg = _run_inputs(args)
     traj = integrate(tableau, problem, args.h, args.steps, cfg)
-    diag = _diagnostics_skeleton()
+    diag = dict.fromkeys(_DIAGNOSTICS)
     if problem.hamiltonian is not None:
         diag["energy_drift"] = energy_drift(traj, problem)
         diag["symplecticity_residual"] = symplecticity_residual(
@@ -323,42 +308,39 @@ def cmd_integrate(args) -> int:
     diag["invariant_drifts"] = {
         name: invariant_drift(traj, problem, name) for name in problem.invariants
     }
-    _write_outputs("integrate", args, [args.tableau], {
+    outputs = {
         args.out: trajectory_to_csv(traj),
         _sidecar(args.out, "diagnostics"): _json_text(diag),
-    }, started)
+    }
     drift = diag["energy_drift"]
-    print(
+    return outputs, (
         f"problem={problem.name} h={args.h:g} steps={args.steps} "
         f"energy_drift={'n/a' if drift is None else format(drift, '.3e')} "
         f"symmetry_residual={diag['symmetry_residual']:.3e}"
     )
-    return 0
 
 
-def cmd_convergence(args) -> int:
-    started = time.perf_counter()
-    tableau = _load_tableau(args.tableau)
-    problem = _make_problem(args)
-    cfg = _make_config(args)
+def cmd_convergence(args):
+    tableau, problem, cfg = _run_inputs(args)
     try:
         h_list = [float(part) for part in args.h_list.split(",")]
     except ValueError as exc:
         raise _InputError(f"cannot parse --h-list {args.h_list!r}") from exc
     est = empirical_order(tableau, problem, h_list, args.t_final, cfg)
-    diag = _diagnostics_skeleton()
-    diag["empirical_order"] = est.slope
-    diag["pairwise_ratios"] = list(est.pairwise)
-    diag["errors"] = list(est.errors)
-    diag["h_values"] = list(est.h_values)
-    diag["saturated"] = est.saturated
-    _write_outputs("convergence", args, [args.tableau], {args.out: _json_text(diag)}, started)
-    print(f"problem={problem.name} h_list={est.h_values} errors={est.errors}")
+    diag = dict.fromkeys(_DIAGNOSTICS)
+    diag.update(
+        empirical_order=est.slope,
+        pairwise_ratios=list(est.pairwise),
+        errors=list(est.errors),
+        h_values=list(est.h_values),
+        saturated=est.saturated,
+    )
     if est.saturated:
-        print("order estimate saturated at the solver floor")
+        verdict = "order estimate saturated at the solver floor"
     else:
-        print(f"empirical_order={est.slope:.3f} pairwise={[round(r, 3) for r in est.pairwise]}")
-    return 0
+        verdict = f"empirical_order={est.slope:.3f} pairwise={[round(r, 3) for r in est.pairwise]}"
+    summary = f"problem={problem.name} h_list={est.h_values} errors={est.errors}\n{verdict}"
+    return {args.out: _json_text(diag)}, summary
 
 
 # -- parser ---------------------------------------------------------------------
@@ -373,11 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a method and certify it")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["order", "simplifying", "symplectic", "symmetric", "ep-legendre", "ep-general"],
-    )
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--order", type=int, help="target order for the order family")
     p.add_argument("--alpha", type=int, help="C-level for the simplifying family")
     p.add_argument("--beta", type=int, help="D-level for the simplifying family")
@@ -395,11 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--label", default=None)
     p.add_argument("--out", default="method.json")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="print the property report of a method file")
     p.add_argument("method")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("discretize", help="reduce a method to a Butcher tableau")
     p.add_argument("method")
@@ -407,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default="tableau.json")
-    p.set_defaults(func=cmd_discretize)
 
     def add_run_arguments(q):
         q.add_argument("tableau")
@@ -423,14 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default="trajectory.csv")
-    p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("convergence", help="empirical order from an h-sweep")
     add_run_arguments(p)
     p.add_argument("--h-list", required=True, help="comma-separated step sizes")
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--out", default="convergence.json")
-    p.set_defaults(func=cmd_convergence)
 
     return parser
 
@@ -444,24 +417,28 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write("\n")
 
 
+# exception types -> exit code; the first match wins (a JSONDecodeError is a
+# ValueError) and any other exception propagates.  Exit 1 covers the domain
+# errors: constraint violations and rejected or oversized parameter values.
+_EXIT_CODES = (
+    ((NonConvergence,), 3),
+    ((_InputError, OSError, json.JSONDecodeError), 2),
+    ((NonFinite, ValueError, OverflowError, MemoryError), 1),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except NonConvergence as exc:
+        outputs, summary = globals()[f"cmd_{args.command}"](args)
+        if outputs:
+            _write_outputs(args, outputs, started)
+        print(summary)
+        return 0
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         _emit_error(exc)
-        return 3
-    except _InputError as exc:
-        _emit_error(exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit_error(exc)
-        return 2
-    except (NonFinite, ValueError, OverflowError, MemoryError) as exc:
-        # constraint violations and rejected or oversized parameter values (domain errors)
-        _emit_error(exc)
-        return 1
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

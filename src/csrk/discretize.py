@@ -110,6 +110,8 @@ class ButcherTableau:
         c = np.asarray(self.c, float)
         if a.shape != (b.size, b.size) or c.shape != b.shape:
             raise ValueError("inconsistent tableau dimensions")
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            raise ValueError("non-finite tableau coefficient")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -204,6 +206,6 @@ def tableau_from_csv(text: str) -> ButcherTableau:
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         if rows.shape != (s, s + 2):
             raise ValueError(f"expected {s} rows of {s + 2} numbers")
-    except ValueError as exc:  # also a ragged row or a non-numeric cell
+        return ButcherTableau(rows[:, 2:], rows[:, 1], rows[:, 0])
+    except ValueError as exc:  # also a ragged row, a non-numeric or non-finite cell
         raise ValueError(f"malformed tableau CSV: {exc}") from exc
-    return ButcherTableau(rows[:, 2:], rows[:, 1], rows[:, 0])

@@ -13,9 +13,12 @@ constructions downstream.
 Multiplication needs no factoring: for square-free r and s,
 sqrt(r) * sqrt(s) = g * sqrt((r/g) * (s/g)) with g = gcd(r, s).  Only
 ``Scalar.sqrt`` factors its radicand (by trial division), so it accepts
-radicands up to 10**12; ``readable_str``, the form of a value in a file,
-refuses a larger radicand, so that ``from_string`` reads back every
-value written.  ``from_string`` rejects decimal exponents beyond 4300.
+radicands up to 10**12.  One size rule says what a file can hold: no
+radicand above 10**12 and no numerator or denominator of more than 4300
+digits (Python's limit on integer strings).  ``readable_str``, the form of
+a value in a file, and ``from_string`` both refuse a value beyond it, so
+``from_string`` reads back every value written; ``from_string`` also
+rejects decimal exponents beyond 4300 before it builds the power.
 The four orderings share one exact test, the sign of the difference.
 
 Signs and floats read one integer bracket.  With D the common denominator
@@ -44,10 +47,12 @@ _TERM_SPLIT = re.compile(r"(?<![eE])\+|(?<=[^+\-eE*/(])(?=-)")
 # Whitespace between two digits or dots would join two numbers into one.
 _SPLIT_NUMBER = re.compile(r"[\d.]\s+[\d.]")
 
-# Decimal exponents ("1e-5") in a string; beyond Python's limit on the
-# digits of an integer string (4300), Fraction would build the power anyway.
+# Python writes and reads no integer string of more than 4300 digits, so no
+# numerator or denominator in a file has more.  A decimal exponent ("1e-5")
+# beyond that is refused before Fraction builds the power.
+_MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**_MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][+-]?(\d+)")
-_MAX_EXPONENT = 4300
 # Largest radicand that sqrt factors (trial division stays below 10**6
 # steps), so also the largest that a string read back may hold.
 _MAX_RADICAND = 10**12
@@ -126,8 +131,8 @@ class Scalar:
         if not text:
             raise ValueError("empty exact-scalar string")
         for exponent in _EXPONENT.findall(text):
-            if int(exponent) > _MAX_EXPONENT:
-                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in exact-scalar string")
+            if int(exponent) > _MAX_DIGITS:
+                raise ValueError(f"decimal exponent beyond {_MAX_DIGITS} in exact-scalar string")
         total: dict[int, Fraction] = {}
         try:
             for term in _TERM_SPLIT.split(text):
@@ -147,7 +152,7 @@ class Scalar:
                     total[r] = total.get(r, Fraction(0)) + q
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in exact-scalar string {text!r}") from exc
-        return cls._raw(total)
+        return _writable(cls._raw(total))
 
     # -- queries -----------------------------------------------------------
 
@@ -313,15 +318,23 @@ class Scalar:
 ScalarLike = Scalar | Fraction | int | str
 
 
-def readable_str(value: Scalar) -> str:
-    """str(value) for a file that from_string reads back.  Arithmetic keeps
-    any radicand, so one above 10**12 is refused here, not when reading."""
+def _writable(value: Scalar) -> Scalar:
+    """value, if a file can hold it (see the module docstring); else ValueError."""
+    if any(max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND for q in value._terms.values()):
+        raise ValueError(
+            f"an exact coefficient has more than {_MAX_DIGITS} digits, more than a file can hold"
+        )
     for r in value._terms:
         if r > _MAX_RADICAND:
-            raise ValueError(
-                f"radicand {r} of {value} exceeds 10**12, so from_string could not read it back"
-            )
-    return str(value)
+            raise ValueError(f"radicand {r} of {value} exceeds 10**12, more than a file can hold")
+    return value
+
+
+def readable_str(value: Scalar) -> str:
+    """str(value) for a file that from_string reads back.  Arithmetic keeps
+    any size, so a value beyond the size rule is refused here, not when
+    reading."""
+    return str(_writable(value))
 
 
 def as_scalar(value: ScalarLike) -> Scalar:

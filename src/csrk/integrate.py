@@ -129,9 +129,16 @@ class OdeProblem:
             rng = np.random.default_rng(20240901)
             for _ in range(10):
                 z = z0 + 0.1 * rng.standard_normal(self.dim)
-                expected = j @ _fd_jacobian(self.hamiltonian, z, 1e-6)
-                got = np.asarray(self.rhs(0.0, z), float)
-                if np.max(np.abs(got - expected)) > 1e-8:
+                with np.errstate(all="ignore"):  # a non-finite value is raised below
+                    expected = j @ _fd_jacobian(self.hamiltonian, z, 1e-6)
+                    got = np.asarray(self.rhs(0.0, z), float)
+                    err = np.max(np.abs(got - expected))
+                if not np.isfinite(err):
+                    raise ValueError(
+                        "cannot check the canonical Hamiltonian flow: non-finite values"
+                        " near the initial state"
+                    )
+                if err > 1e-8:
                     raise ValueError(
                         "right-hand side does not match the canonical Hamiltonian flow"
                     )
@@ -208,6 +215,8 @@ def _solve_stages(
     )
 
 
+# overflow and NaN are not warned about: the finiteness checks raise NonFinite
+@np.errstate(all="ignore")
 def _step(
     t: ButcherTableau,
     problem: OdeProblem,

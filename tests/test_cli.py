@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -498,7 +500,6 @@ def test_integrate_memory_error_is_reported_as_json(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_integrate_overflow_is_non_finite_at_step_zero(tmp_path, capsys):
     tab = _symplectic_gauss2(tmp_path, capsys)
     code, _, stderr = run(
@@ -530,6 +531,8 @@ def test_convergence_bad_final_time_is_domain_error(tmp_path, capsys, t_final):
 @pytest.mark.parametrize("value, message", [
     ("sqrt(10000000000037)/2", "exceeds 10**12"),
     ("1e-5000", "decimal exponent beyond 4300"),
+    ("1e-4300", "more than 4300 digits"),
+    ("1e4300", "more than 4300 digits"),
 ])
 def test_construct_oversized_exact_value_is_usage_error(tmp_path, capsys, value, message):
     out = tmp_path / "m.json"
@@ -583,6 +586,20 @@ def test_construct_radicand_above_the_parse_bound_is_domain_error(tmp_path, caps
     err = strict_json(stderr.strip())
     assert err["error"] == "ValueError"
     assert "radicand 2999886001071" in err["message"] and "exceeds 10**12" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_value_beyond_4300_digits_is_domain_error(tmp_path, capsys):
+    # each input fits; A = omega * (int g) * g has a 9001-digit denominator
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "ep-general", "--omega", "1e-3000", "--generator", "1e-3000",
+        "--out", str(out),
+    )
+    assert code == 1
+    err = strict_json(stderr.strip())
+    assert err["error"] == "ValueError" and "more than 4300 digits" in err["message"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -668,6 +685,7 @@ def test_integrate_and_convergence_read_the_csv_tableau(tmp_path, capsys):
     "c,b,a1\n0.5,1.0,half\n",  # non-numeric cell
     "",  # empty file
     "t,z1,z2,iters\n0.0,1.0,0.0,0\n",  # a trajectory, not a tableau
+    "c,b,a1\n0.5,nan,0.5\n",  # a non-finite coefficient
 ])
 def test_malformed_csv_tableau_is_input_error(tmp_path, capsys, text):
     tab = tmp_path / "bad.csv"
@@ -684,3 +702,59 @@ def test_malformed_csv_tableau_is_input_error(tmp_path, capsys, text):
         err = strict_json(stderr.strip())
         assert err["error"] == "_InputError" and "malformed tableau CSV" in err["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"s": 1, "c": [0.5], "b": [1.0], "a": [[Infinity]]}',
+    '{"s": 1, "c": [NaN], "b": [1.0], "a": [[0.5]]}',
+    '{"s": 1, "c": [0.5], "b": [-Infinity], "a": [[0.5]]}',
+])
+def test_malformed_json_tableau_is_input_error(tmp_path, capsys, text):
+    tab = tmp_path / "bad.json"
+    tab.write_text(text)
+    for command, args in (
+        ("integrate", ["--h", "0.1", "--steps", "3"]),
+        ("convergence", ["--h-list", "0.2,0.1,0.05", "--t-final", "1"]),
+    ):
+        out = tmp_path / "out.csv"
+        code, _, stderr = run(
+            capsys, command, str(tab), "--problem", "harmonic", *args, "--out", str(out),
+        )
+        assert code == 2
+        err = strict_json(stderr.strip())
+        assert err["error"] == "_InputError" and "malformed tableau JSON" in err["message"]
+        assert "non-finite tableau coefficient" in err["message"]
+        assert not out.exists()
+
+
+def test_unverifiable_hamiltonian_start_is_rejected_before_stepping(tmp_path, capsys):
+    # H overflows at 1e300, so the flow check cannot pass; the run used to
+    # finish and then fail on a NaN diagnostic
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    before = _snapshot(tmp_path)
+    code, _, stderr = run(
+        capsys,
+        "integrate", str(tab), "--problem", "pendulum", "--z0=1e300,1e300",
+        "--h", "0.1", "--steps", "3", "--out", str(tmp_path / "traj.csv"),
+    )
+    assert code == 1
+    err = strict_json(stderr.strip())
+    assert err["error"] == "ValueError" and "canonical Hamiltonian flow" in err["message"]
+    assert _snapshot(tmp_path) == before
+
+
+def test_stderr_holds_only_the_error_line(tmp_path, capsys):
+    # the stage iteration overflows: numpy used to warn on stderr before the JSON
+    tab = _symplectic_gauss2(tmp_path, capsys)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "csrk.cli", "integrate", str(tab), "--problem", "harmonic",
+         "--h", "1e300", "--steps", "3", "--out", str(tmp_path / "traj.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and proc.stderr == lines[0] + "\n", proc.stderr
+    assert strict_json(lines[0])["error"] == "NonFinite"

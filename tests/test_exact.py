@@ -387,8 +387,21 @@ def test_sqrt_rejects_radicands_above_ten_to_the_twelve():
 
 
 def test_from_string_rejects_exponents_beyond_the_int_string_limit():
-    assert Scalar.from_string("1e4300") == 10**4300
-    assert Scalar.from_string("1e-4300-sqrt(2)") == Fraction(1, 10**4300) - Scalar.sqrt(2)
+    # 10**4299 has 4300 digits, the most a file can hold (10**4300 is refused below)
+    assert Scalar.from_string("1e4299") == 10**4299
+    assert Scalar.from_string("1e-4299-sqrt(2)") == Fraction(1, 10**4299) - Scalar.sqrt(2)
     for bad in ("1e4301", "1E-100000", "1/2-3e5000*sqrt(2)", "2.5e00000000009999"):
         with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
             Scalar.from_string(bad)
+
+
+def test_one_size_rule_for_values_a_file_holds():
+    # str() writes no integer of more than 4300 digits; 10**4300 has 4301
+    for text in ("1e4300", "1e-4300", "1/2-1e-4300*sqrt(2)", "1e4299+9e4299"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            Scalar.from_string(text)
+    tiny = Scalar.from_string("1e-3000")
+    assert Scalar.from_string(readable_str(tiny)) == tiny
+    for made in (tiny * tiny, 1 + tiny * tiny * Scalar.sqrt(2)):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            readable_str(made)

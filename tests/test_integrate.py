@@ -292,6 +292,19 @@ def test_hamiltonian_rhs_consistency_is_enforced():
         )
 
 
+@pytest.mark.parametrize("z0", [(1.0, 0.5), (1e200, 1e200)])
+def test_hamiltonian_flow_check_fails_closed(z0):
+    # swapped components: no Hamiltonian flow of H = (q^2 + p^2)/2.  At 1e200
+    # H overflows, the comparison is NaN, and NaN > tol would pass the check
+    with pytest.raises(ValueError, match="canonical Hamiltonian flow"):
+        OdeProblem(
+            dim=2,
+            rhs=lambda t, z: np.array([z[1], z[0]]),
+            z0=np.array(z0),
+            hamiltonian=lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2),
+        )
+
+
 def test_canonical_structure():
     j = canonical_structure(4)
     assert np.array_equal(j[:2, 2:], np.eye(2))
@@ -388,14 +401,12 @@ def test_integrate_rejects_zero_or_nonfinite_step(h):
     assert np.array_equal(rk_step(gauss2_tableau(), p, 0.0, p.z0, 0.0), p.z0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_stage_overflow_is_non_finite_at_step_zero():
     with pytest.raises(NonFinite, match="stage iteration produced non-finite values") as err:
         integrate(gauss2_tableau(), builtin_problem("harmonic"), 1e300, 3)
     assert err.value.step_index == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_update_overflow_is_non_finite_at_its_step():
     # constant rhs: the stages converge to finite values, the update overflows
     p = OdeProblem(dim=1, rhs=lambda t, z: np.array([1e308]), z0=np.array([-1e308]))
