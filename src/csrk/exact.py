@@ -18,7 +18,9 @@ radicand above 10**12 and no numerator or denominator of more than 4300
 digits (Python's limit on integer strings).  ``readable_str``, the form of
 a value in a file, and ``from_string`` both refuse a value beyond it, so
 ``from_string`` reads back every value written; ``from_string`` also
-rejects decimal exponents beyond 4300 before it builds the power.
+rejects decimal exponents beyond 4300 before it builds the power.  An
+error message shows a value by ``brief_str``: exact within the rule,
+about its float beyond it, so no message fails on a value's size.
 The four orderings share one exact test, the sign of the difference.
 
 Signs and floats read one integer bracket.  With D the common denominator
@@ -37,9 +39,9 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 
-__all__ = ["Scalar", "as_scalar", "readable_str"]
+__all__ = ["Scalar", "as_scalar", "brief_str", "readable_str"]
 
 # Terms are separated by "+" or begin at a "-", except a sign of an
 # exponent ("1e-3", "1e+3") and a "-" that follows a sign, "*", "/" or "(".
@@ -162,7 +164,7 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"{self} has irrational radical parts")
+            raise ValueError(f"{brief_str(self)} has irrational radical parts")
         return self._terms.get(1, Fraction(0))
 
     def _bracket(self, bits: int) -> tuple[int, int, int]:
@@ -335,6 +337,20 @@ def readable_str(value: Scalar) -> str:
     any size, so a value beyond the size rule is refused here, not when
     reading."""
     return str(_writable(value))
+
+
+def brief_str(value: Scalar) -> str:
+    """value for an error message: readable_str where the size rule allows,
+    else "≈" and its float to 6 digits (≈inf beyond the double range)."""
+    try:
+        return readable_str(value)
+    except ValueError:
+        pass
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = value.sign() * inf
+    return f"≈{approx:.6g}"
 
 
 def as_scalar(value: ScalarLike) -> Scalar:

@@ -6,10 +6,11 @@ coefficients in this basis; the per-degree normalizations sqrt(2*i+1)
 live in the exact Scalar field, so basis conversions, antiderivatives and
 inner products are exact.
 
-Exact algebra runs in the unnormalized basis L_i = P_i / sqrt(2*i+1)
+Exact algebra runs in the unnormalized basis L_i = P_i / sqrt(2i+1)
 (L_i(1) = 1), where every structural constant is rational:
 
-    tau * L_n = L_n / 2 + ((n+1) L_{n+1} + n L_{n-1}) / (2 (2n+1)),
+    L_i(tau) = sum_k (-1)**(i+k) C(i, k) C(i+k, k) tau**k       (integers),
+    tau**m = sum_{k<=m} (2k+1) m!**2 / ((m-k)! (m+k+1)!) L_k,
     L_n' = 2 * sum over k < n with n - k odd of (2k+1) L_k,
     int_0^tau L_0 = (L_0 + L_1) / 2,
     int_0^tau L_n = (L_{n+1} - L_{n-1}) / (2 (2n+1))  for n >= 1,
@@ -19,8 +20,17 @@ Exact algebra runs in the unnormalized basis L_i = P_i / sqrt(2*i+1)
 ``tensor_from_l`` coefficient tensors such as a method's alpha.
 Products, powers of tau and the family tensors are radical-free there,
 and the orthonormal coefficients are only an input/output view.
-``l_mul``, ``l_derivative`` and ``l_antiderivative`` act on plain
-coefficient tuples, so intermediate products are not bound by CAP;
+``l_mul``, ``l_sub``, ``l_dot``, ``l_contract`` and ``l_to_monomial`` run
+on one integer kernel: a polynomial becomes one integer vector per
+square-free radicand over one common denominator (the layout of FLINT's
+fmpq_poly).  A product maps each vector to tau-monomials through the
+integer matrix of the first identity, multiplies each radicand pair as
+one integer (Kronecker substitution), merges the radicals by
+sqrt(r) sqrt(s) = g sqrt((r/g)(s/g)) with g = gcd(r, s), and maps back
+through the second identity as one integer matrix over one denominator;
+dots weigh the vectors by 1/(2i+1) over one denominator.  Scalars are the
+type at every boundary.  ``l_derivative`` and ``l_antiderivative`` apply
+the rational identities to Scalars.  None of these is bound by CAP;
 ``UnivariatePoly.derivative`` and the functions ``antiderivative`` and
 ``monomial_to_legendre`` are orthonormal views of them.  ``xi``, the
 ladder constant of the orthonormal antiderivative, remains for the
@@ -42,8 +52,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm
+from operator import mul
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +79,7 @@ __all__ = [
     "l_mul",
     "l_sub",
     "l_dot",
+    "l_contract",
     "l_derivative",
     "l_antiderivative",
     "l_to_monomial",
@@ -98,15 +111,13 @@ def xi(i: int) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _shifted_mono(i: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the unnormalized shifted Legendre polynomial.
+def _shifted_mono(i: int) -> tuple[int, ...]:
+    """Integer monomial coefficients of the unnormalized shifted Legendre polynomial L_i.
 
     Normalized so the value at x = 1 is 1; multiply by sqrt(2*i+1) for the
     orthonormal basis element.
     """
-    return tuple(
-        Fraction((-1) ** (i + k) * comb(i, k) * comb(i + k, k)) for k in range(i + 1)
-    )
+    return tuple((-1) ** (i + k) * comb(i, k) * comb(i + k, k) for k in range(i + 1))
 
 
 @lru_cache(maxsize=None)
@@ -305,68 +316,65 @@ def tensor_from_l(t: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return _scale_tensor(t, True)
 
 
-@lru_cache(maxsize=None)
-def _x_step_weights(n: int, k: int) -> tuple[Fraction, Fraction]:
-    scale = Fraction(2 * n + 1, (n + 1) * (2 * k + 1))
-    return scale * (k + 1), scale * k
-
-
-def _x_step(w: Sequence[Scalar], prev: Sequence[Scalar], n: int) -> list[Scalar]:
-    """W_{n+1} = ((2n+1) x W_n - n W_{n-1}) / (n+1), x = 2 tau - 1.
-
-    W_n = L_n * b for a fixed b; x L_k = ((k+1) L_{k+1} + k L_{k-1}) / (2k+1).
-    """
-    out = [_ZERO] * (len(w) + 1)
-    for k, c in enumerate(w):
-        if c:
-            up, down = _x_step_weights(n, k)
-            out[k + 1] = out[k + 1] + c * up
-            if k:
-                out[k - 1] = out[k - 1] + c * down
-    back = Fraction(n, n + 1)
-    for k, c in enumerate(prev):
-        if c:
-            out[k] = out[k] - c * back
-    return out
-
-
 def l_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Exact product of two L-basis coefficient lists, with no degree cap.
 
-    Sums a_n * (L_n b) over the shorter factor a, building L_n b by the
-    Legendre three-term recurrence; every multiplier is rational.
+    Both factors go to integer tau-monomial vectors; each radicand pair is
+    convolved as one integer product (Kronecker substitution), and the
+    product comes back to L through one integer matrix.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
+    (pa, da), (pb, db) = _apply(_to_tau, _vec(a)), _apply(_to_tau, _vec(b))
+    if not pa or not pb:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    prev: Sequence[Scalar] = ()
-    cur: Sequence[Scalar] = b
-    for n, c in enumerate(a):
-        if n:
-            prev, cur = cur, _x_step(cur, prev, n - 1)
-        if c:
-            for k, w in enumerate(cur):
-                if w:
-                    out[k] = out[k] + c * w
-    return _trim(out)
+    # every coefficient of every merged product fits a signed slot of this many bytes
+    bound = min(len(a), len(b)) * len(pa) * len(pb) * min(max(pa), max(pb))
+    bound *= max(abs(x) for u in pa.values() for x in u)
+    bound *= max(abs(x) for u in pb.values() for x in u)
+    width = (bound.bit_length() + 8) // 8
+    packed = _pairs(
+        {r: _pack(u, width) for r, u in pa.items()},
+        {r: _pack(u, width) for r, u in pb.items()},
+        mul,
+    )
+    n = len(a) + len(b) - 1
+    prod = {r: _unpack(x, n, width) for r, x in packed.items()}
+    return _scalars(_apply(_from_tau, (prod, da * db)))
 
 
 def l_sub(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    n = max(len(a), len(b))
-    return _trim(
-        [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    )
+    """Difference of two L-basis coefficient lists, trailing zeros trimmed."""
+    (pa, da), (pb, db) = _vec(a), _vec(b)
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    return _scalars((
+        {
+            r: [fa * x - fb * y for x, y in zip_longest(pa.get(r, ()), pb.get(r, ()), fillvalue=0)]
+            for r in pa.keys() | pb.keys()
+        },
+        den,
+    ))
 
 
 def l_dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     """int_0^1 of the product of two L-basis polynomials."""
-    total = _ZERO
-    for i in range(min(len(a), len(b))):
-        if a[i] and b[i]:
-            total = total + a[i] * b[i] * Fraction(1, 2 * i + 1)
-    return total
+    return l_contract([a], b)[0]
+
+
+def l_contract(rows: Sequence[Sequence[Scalar]], q: Sequence[Scalar]) -> list[Scalar]:
+    """int_0^1 row(s) q(s) ds for each L-basis row: the L coefficients of
+    int_0^1 F(., s) q(s) ds when F(tau, sigma) is given by its rows in sigma."""
+    weights, wden = _dot_weights(_size(len(q)))
+
+    def dot(u, v):
+        return sum(map(mul, map(mul, u, v), weights))
+
+    qv, qden = _vec(q)
+    out = []
+    for row in rows:
+        rv, rden = _vec(row)
+        den = rden * qden * wden
+        out.append(Scalar._raw({r: Fraction(w, den) for r, w in _pairs(rv, qv, dot).items()}))
+    return out
 
 
 def l_derivative(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -395,12 +403,130 @@ def l_antiderivative(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
 
 def l_to_monomial(a: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Monomial coefficients (index k = coefficient of x**k) of an L-basis polynomial."""
-    out = [_ZERO] * len(a)
-    for i, c in enumerate(a):
-        if c:
-            for k, m in enumerate(_shifted_mono(i)):
-                out[k] = out[k] + c * m
-    return _trim(out)
+    return _scalars(_apply(_to_tau, _vec(a)))
+
+
+# -- the integer kernel -----------------------------------------------------
+#
+# A polynomial is ({radicand: numerators}, denominator): one integer vector
+# per square-free radicand r over one common denominator, so coefficient i
+# is the sum over r of numerators[i] / denominator * sqrt(r).  Every vector
+# of one polynomial has its length.  Scalars enter through _vec and leave
+# through _scalars, which read and build Scalar's {radicand: Fraction}
+# terms directly; in between every operation is on Python ints.
+
+_Vec = tuple[dict[int, list[int]], int]
+
+
+def _vec(coeffs: Sequence[Scalar]) -> _Vec:
+    """The kernel form of a coefficient list."""
+    n = len(coeffs)
+    den = lcm(*(q.denominator for c in coeffs for q in c._terms.values()))
+    parts: dict[int, list[int]] = {}
+    for i, c in enumerate(coeffs):
+        for r, q in c._terms.items():
+            if r not in parts:
+                parts[r] = [0] * n
+            parts[r][i] = q.numerator * (den // q.denominator)
+    return parts, den
+
+
+def _scalars(vec: _Vec) -> tuple[Scalar, ...]:
+    """The coefficient list of a kernel form, trailing zeros trimmed."""
+    parts, den = vec
+    n = max(map(len, parts.values()), default=0)
+    terms: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for r, nums in parts.items():
+        for i, v in enumerate(nums):
+            if v:
+                terms[i][r] = Fraction(v, den)
+    return _trim([Scalar._raw(t) for t in terms])
+
+
+def _pairs(a: dict[int, Any], b: dict[int, Any], op) -> dict[int, int]:
+    """The integer sum over radicand pairs (r, s) of op(a[r], b[s]) * sqrt(r) * sqrt(s).
+
+    r and s are square-free, so sqrt(r) * sqrt(s) = g * sqrt((r/g) * (s/g))
+    with g = gcd(r, s), the rule of Scalar multiplication.
+    """
+    out: dict[int, int] = {}
+    for r, u in a.items():
+        for s, v in b.items():
+            w = op(u, v)
+            if w:
+                g = gcd(r, s)
+                core = (r // g) * (s // g)
+                out[core] = out.get(core, 0) + g * w
+    return out
+
+
+def _offset(n: int, width: int) -> int:
+    """The packed vector of n slots that each hold half a slot's range."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * n, "little")
+
+
+def _pack(u: list[int], width: int) -> int:
+    """sum_i u[i] * 256**(width*i): one integer for a vector of signed slots."""
+    half = 1 << 8 * width - 1
+    data = b"".join((x + half).to_bytes(width, "little") for x in u)
+    return int.from_bytes(data, "little") - _offset(len(u), width)
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n signed slots of a packed vector."""
+    half = 1 << 8 * width - 1
+    data = (x + _offset(n, width)).to_bytes(n * width, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little") - half for i in range(0, n * width, width)
+    ]
+
+
+def _size(n: int) -> int:
+    """The cached table size for vectors of length n: a power of two, at least 16."""
+    return max(16, 1 << (n - 1).bit_length())
+
+
+@lru_cache(maxsize=None)
+def _to_tau(size: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Columns and denominator (1) of the map from L to tau-monomial coefficients:
+    column k holds the tau**k coefficients of L_k, L_{k+1}, ..., L_{size-1}."""
+    rows = [_shifted_mono(i) for i in range(size)]
+    return tuple(tuple(rows[i][k] for i in range(k, size)) for k in range(size)), 1
+
+
+@lru_cache(maxsize=None)
+def _from_tau(size: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Columns M and one denominator D of the map from tau-monomial to L
+    coefficients: tau**m = sum_{k<=m} M[k][m-k] / D * L_k.
+
+    tau**m = sum_{k<=m} (2k+1) m!**2 / ((m-k)! (m+k+1)!) L_k, and that
+    coefficient is (2k+1) C(2m+1, m-k) / e_m with e_m = (2m+1) C(2m, m).
+    """
+    e = [(2 * m + 1) * comb(2 * m, m) for m in range(size)]
+    den = lcm(*e)
+    return (
+        tuple(
+            tuple((2 * k + 1) * comb(2 * m + 1, m - k) * (den // e[m]) for m in range(k, size))
+            for k in range(size)
+        ),
+        den,
+    )
+
+
+@lru_cache(maxsize=None)
+def _dot_weights(size: int) -> tuple[tuple[int, ...], int]:
+    """Integers w_i and one denominator D with w_i / D = int_0^1 L_i**2 = 1 / (2i+1)."""
+    den = lcm(*range(1, 2 * size, 2))
+    return tuple(den // (2 * i + 1) for i in range(size)), den
+
+
+def _apply(table, vec: _Vec) -> _Vec:
+    """vec through the triangular integer map of table: coefficient k of the
+    result is sum_{m>=k} vec[m] * columns[k][m-k] / denominator."""
+    parts, den = vec
+    n = max(map(len, parts.values()), default=0)
+    cols, d = table(_size(n))
+    return {r: [sum(map(mul, u[k:], cols[k])) for k in range(n)] for r, u in parts.items()}, den * d
 
 
 # -- exact monomial-basis helpers (reference implementations) ---------------

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import Scalar, ScalarLike, as_scalar, readable_str
+from .exact import Scalar, ScalarLike, as_scalar, brief_str, readable_str
 from .legendre import (
     CAP,
     ONE,
@@ -224,7 +224,7 @@ def construct_order_by_order(
             )
         if bilinear:
             raise Order4ConstraintViolation(
-                f"sum over i>=3 of a[0,i]*a[i,1] must vanish, got {bilinear}"
+                f"sum over i>=3 of a[0,i]*a[i,1] must vanish, got {brief_str(bilinear)}"
             )
     return CsrkMethod(
         _entries_to_matrix(entries),
@@ -292,14 +292,16 @@ def construct_symplectic(
     for (i, j), v in given.items():
         if i == j:
             if i == 0 or v:
-                raise SkewConflict(f"skew-symmetry forces a zero diagonal, got a[{i},{j}] = {v}")
+                raise SkewConflict(
+                    f"skew-symmetry forces a zero diagonal, got a[{i},{j}] = {brief_str(v)}"
+                )
             continue
         if i > j:
             raise SkewConflict(f"supply upper-triangle entries only, got ({i}, {j})")
         if (i, j) == (0, 1):
             if v != -_SQRT3_6:
                 raise SkewConflict(
-                    f"consistency pins a[0,1] = -sqrt(3)/6, got {v}"
+                    f"consistency pins a[0,1] = -sqrt(3)/6, got {brief_str(v)}"
                 )
             continue
         entries[(i, j)] = v
@@ -346,7 +348,9 @@ class EpSpec:
                 raise ValueError("one generator per weight is required")
             object.__setattr__(self, "generators", gens)
         elif self.omegas[0] != 1:
-            raise ValueError(f"the Legendre family requires omega_0 = 1, got {self.omegas[0]}")
+            raise ValueError(
+                f"the Legendre family requires omega_0 = 1, got {brief_str(self.omegas[0])}"
+            )
 
     def omega_at(self, i: int) -> Scalar:
         return self.omegas[i] if i < len(self.omegas) else Scalar(0)

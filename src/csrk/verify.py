@@ -10,12 +10,14 @@ beyond that.  The step-size contraction bound is the only numerical
 Every certifier reads one form of the method in the unnormalized Legendre
 basis L_i = P_i/sqrt(2i+1) of ``legendre``: the tensor, its columns, B, C
 and the ladders C**k and B*C**k, grown on demand by exact ``l_mul``
-products with no degree cap (rho probes C**19).  The form is cached for
-the last method only, so the certifiers of one report and the defects
-that follow it share one conversion and one ladder.  Projections onto L_i
-are coefficients over 2i+1.  Results are converted back only at the end:
-tensors to orthonormal coefficients, the moment-identity defects to
-monomial coefficients.
+products with no degree cap (rho probes C**19).  The form holds Scalars
+and is cached for the last method only, so the certifiers of one report
+and the defects that follow it share one conversion and one ladder.  The
+integrals are ``l_dot`` and ``l_contract`` (int_0^1 L_i L_j =
+delta_ij/(2i+1)); these and ``l_mul``, ``l_sub`` and ``l_to_monomial``
+compute on the integer kernel of ``legendre``.  Results are converted back
+only at the end: tensors to orthonormal coefficients, the moment-identity
+defects to monomial coefficients.
 
 The advisory step-size bound reads the same L form as floats: the L basis
 is numpy's Legendre basis on x = 2t - 1 in both variables, so one
@@ -31,9 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Scalar
+from .exact import Scalar, brief_str
 from .legendre import (
     from_l,
+    l_contract,
     l_derivative,
     l_dot,
     l_mul,
@@ -85,12 +88,6 @@ def _columns(a, n: int) -> list[list[Scalar]]:
     return [[_at(row, j) for row in a] for j in range(n)]
 
 
-def _contract(rows, q) -> list[Scalar]:
-    """L coefficients of int_0^1 F(., s) q(s) ds, F given by its rows; all in the L basis."""
-    proj = [v * Fraction(1, 2 * j + 1) for j, v in enumerate(q)]
-    return [sum((v * w for v, w in zip(row, proj) if v and w), _ZERO) for row in rows]
-
-
 class _LForm:
     """A method in the L basis: tensor, columns, B, C and the ladders C**k, B*C**k.
 
@@ -112,12 +109,12 @@ class _LForm:
 
     def c_breve(self, k: int) -> tuple[Scalar, ...]:
         """L coefficients of int A C^(k-1) dsigma - C^k / k."""
-        lhs = _contract(self.a, self.power(self.c_pow, k - 1))
+        lhs = l_contract(self.a, self.power(self.c_pow, k - 1))
         return l_sub(lhs, [v * Fraction(1, k) for v in self.power(self.c_pow, k)])
 
     def d_breve(self, k: int) -> tuple[Scalar, ...]:
         """L coefficients of int B C^(k-1) A dtau - B (1 - C^k) / k."""
-        lhs = _contract(self.cols, self.power(self.bc_pow, k - 1))
+        lhs = l_contract(self.cols, self.power(self.bc_pow, k - 1))
         rhs = l_sub(self.b, self.power(self.bc_pow, k))
         return l_sub(lhs, [v * Fraction(1, k) for v in rhs])
 
@@ -150,16 +147,16 @@ def order_condition_residuals(m: CsrkMethod) -> dict[int, Scalar]:
     f = _l_form(m)
     b, c = f.b, f.c
     bc, cc = f.power(f.bc_pow, 1), f.power(f.c_pow, 2)
-    left = _contract(f.cols, b)  # int B(t) A(t, s) dt
+    left = l_contract(f.cols, b)  # int B(t) A(t, s) dt
     return {
         1: (b[0] if b else _ZERO) - 1,
         2: l_dot(b, c) - Fraction(1, 2),
         3: l_dot(bc, c) - Fraction(1, 3),
         4: l_dot(left, c) - Fraction(1, 6),
         5: l_dot(bc, cc) - Fraction(1, 4),
-        6: l_dot(_contract(f.cols, bc), c) - Fraction(1, 8),
+        6: l_dot(l_contract(f.cols, bc), c) - Fraction(1, 8),
         7: l_dot(left, cc) - Fraction(1, 12),
-        8: l_dot(left, _contract(f.a, c)) - Fraction(1, 24),
+        8: l_dot(left, l_contract(f.a, c)) - Fraction(1, 24),
     }
 
 
@@ -262,7 +259,7 @@ def symmetric_defect(m: CsrkMethod) -> list[list[Scalar]]:
     if m.B.coeff(0) != 1:
         raise ValueError(
             "symmetry residual requires the weight integral to equal 1 "
-            f"(got {m.B.coeff(0)})"
+            f"(got {brief_str(m.B.coeff(0))})"
         )
     n = max(m.pi_tau + 1, m.pi_sigma + 1, len(m.B.coeffs))
     out = [[_ZERO] * n for _ in range(n)]

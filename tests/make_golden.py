@@ -62,13 +62,13 @@ def corpus():
                     for _ in range(dtau + 1)
                 ]
                 c = UnivariatePoly([row[0] for row in rows])
-                b = UnivariatePoly([1] + [Fraction(num(), rng.randrange(3, 7)) for _ in range(bdeg)])
+                b = UnivariatePoly(
+                    [1] + [Fraction(num(), rng.randrange(3, 7)) for _ in range(bdeg)]
+                )
                 out.append((f"general-{dtau}-{dsigma}-{bdeg}", new_method(rows, b, c)))
     out.append(("simplifying-3-3", construct_simplifying(3, 3)))
-    out.append((
-        "order-4",
-        construct_order_by_order(4, {(2, 1): Scalar.sqrt(15, Fraction(1, 30)), (1, 3): Fraction(1, 5)}),
-    ))
+    free = {(2, 1): Scalar.sqrt(15, Fraction(1, 30)), (1, 3): Fraction(1, 5)}
+    out.append(("order-4", construct_order_by_order(4, free)))
     out.append(("ep-legendre-1-1-1/2", construct_ep_legendre([1, 1, Fraction(1, 2)]).method))
     return out
 
@@ -80,7 +80,12 @@ def _digest(values) -> str:
 def entry(m) -> dict:
     """The golden record of one method."""
     from csrk.method import method_to_json_dict
-    from csrk.verify import build_property_report, c_breve_defect, d_breve_defect, report_to_json_dict
+    from csrk.verify import (
+        build_property_report,
+        c_breve_defect,
+        d_breve_defect,
+        report_to_json_dict,
+    )
 
     return {
         "method": method_to_json_dict(m),
@@ -105,7 +110,11 @@ def differences(expected: dict, got: dict) -> list[str]:
             same = want == have
         if not same:
             bad.append(f"report.{key}")
-    bad += [f"defects.{k}" for k in sorted(expected["defects"]) if got["defects"].get(k) != expected["defects"][k]]
+    bad += [
+        f"defects.{k}"
+        for k, digest in sorted(expected["defects"].items())
+        if got["defects"].get(k) != digest
+    ]
     return bad
 
 

@@ -528,6 +528,22 @@ def test_convergence_bad_final_time_is_domain_error(tmp_path, capsys, t_final):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, shown", [("1e-2200", "≈0"), ("1e2200", "≈inf")])
+def test_order4_violation_with_an_oversized_sum_is_reported(tmp_path, capsys, value, shown):
+    # the bilinear sum has 4400 digits, more than Python writes as a string
+    out = tmp_path / "m.json"
+    code, _, stderr = run(
+        capsys,
+        "construct", "--family", "order", "--order", "4",
+        "--set", f"0,3={value}", "--set", f"3,1={value}", "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(stderr.strip())
+    assert err["error"] == "Order4ConstraintViolation"
+    assert err["message"].endswith(f"must vanish, got {shown}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value, message", [
     ("sqrt(10000000000037)/2", "exceeds 10**12"),
     ("1e-5000", "decimal exponent beyond 4300"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.exact import Scalar, _square_free, as_scalar, readable_str
+from csrk.exact import Scalar, _square_free, as_scalar, brief_str, readable_str
 
 
 def test_construction_and_rational_part():
@@ -405,3 +405,15 @@ def test_one_size_rule_for_values_a_file_holds():
     for made in (tiny * tiny, 1 + tiny * tiny * Scalar.sqrt(2)):
         with pytest.raises(ValueError, match="more than 4300 digits"):
             readable_str(made)
+
+
+def test_brief_str_shows_every_value_in_a_message():
+    huge = Scalar.from_string("1e3000")
+    assert brief_str(Scalar.from_string("1/2-sqrt(3)/6")) == "1/2+-1/6*sqrt(3)"
+    assert brief_str(huge) == readable_str(huge)
+    # beyond the size rule: the float, to 6 digits, or its signed infinity
+    assert brief_str(huge * huge) == "≈inf" and brief_str(-huge * huge) == "≈-inf"
+    assert brief_str(1 / (huge * huge)) == "≈0"
+    assert brief_str(Scalar(7) + Fraction(1, 10**5000)) == "≈7"
+    # a radicand above 10**12, made by arithmetic
+    assert brief_str(Scalar.sqrt(1000003) * Scalar.sqrt(1000033) * 2) == "≈2.00004e+06"

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csrk.exact import Scalar
 from csrk.legendre import (
@@ -17,8 +20,11 @@ from csrk.legendre import (
     inner_product,
     from_l,
     l_antiderivative,
+    l_contract,
     l_derivative,
+    l_dot,
     l_mul,
+    l_sub,
     l_to_monomial,
     legendre_monomial,
     legendre_table,
@@ -262,8 +268,15 @@ def random_l_coeffs(rng, n, radicals=False):
 
 
 def reference_monomial(coeffs):
-    """Monomial form via the orthonormal basis and legendre_monomial (degree <= CAP)."""
-    return UnivariatePoly(from_l(coeffs)).to_monomial()
+    """Monomial form of sum_i c_i L_i in plain Scalar sums, with no degree cap:
+    L_i(x) = sum_k (-1)**(i+k) C(i, k) C(i+k, k) x**k."""
+    out = [Scalar(0)] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for k in range(i + 1):
+            out[k] = out[k] + c * ((-1) ** (i + k) * comb(i, k) * comb(i + k, k))
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def test_l_basis_tau_operator():
@@ -306,6 +319,69 @@ def test_l_to_monomial_matches_reference():
     for n in (1, 2, 6, 15, 33):
         a = random_l_coeffs(rng, n, radicals=True)
         assert l_to_monomial(a) == reference_monomial(a)
+        # the orthonormal view and legendre_monomial agree (degree <= CAP)
+        assert UnivariatePoly(from_l(a)).to_monomial() == reference_monomial(a)
+
+
+# -- the integer kernel against plain Scalar arithmetic --------------------------
+
+# Square-free radicands built from the primes of certify-general's radicals
+# (sqrt((2i+1)(2j+1)) with 2i+1, 2j+1 <= 13) and 2, so that pairs meet on
+# one radicand: sqrt(6)*sqrt(10) and sqrt(15)*1 both give sqrt(15).
+_RADICANDS = st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=3).map(prod)
+_COEFFS = st.lists(
+    st.tuples(_RADICANDS, st.fractions(min_value=-4, max_value=4, max_denominator=12)),
+    max_size=3,
+).map(lambda terms: sum((Scalar.sqrt(r, q) for r, q in terms), Scalar(0)))
+# lengths 0..45 pass CAP + 1 = 33; trailing zeros are allowed
+_L_POLYS = st.lists(_COEFFS, max_size=45)
+
+
+def _plain_dot(a, b):
+    return sum((x * y * Fraction(1, 2 * i + 1) for i, (x, y) in enumerate(zip(a, b))), Scalar(0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_L_POLYS, b=_L_POLYS)
+def test_kernel_product_matches_plain_scalar_reference(a, b):
+    product = l_mul(a, b)
+    assert l_mul(b, a) == product
+    assert reference_monomial(product) == mono_mul(reference_monomial(a), reference_monomial(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_L_POLYS, b=_L_POLYS, rows=st.lists(_L_POLYS, max_size=4))
+def test_kernel_forms_match_plain_scalar_reference(a, b, rows):
+    assert l_to_monomial(a) == reference_monomial(a)
+    assert l_dot(a, b) == _plain_dot(a, b)
+    assert l_contract(rows, b) == [_plain_dot(row, b) for row in rows]
+    n = max(len(a), len(b))
+    diff = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    while diff and not diff[-1]:
+        diff.pop()
+    assert l_sub(a, b) == tuple(diff)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=_L_POLYS, b=_L_POLYS, c=_L_POLYS)
+def test_kernel_operands_that_cancel_to_zero(a, b, c):
+    zero = l_sub(b, b)
+    assert zero == ()
+    assert l_mul(a, zero) == () and l_mul(a, [Scalar(0)] * len(b)) == ()
+    assert l_dot(a, zero) == 0 and l_contract([a, zero], zero) == [0, 0]
+    assert l_to_monomial(zero) == ()
+    # products distribute over differences, so merged radicals cancel exactly
+    assert l_mul(a, l_sub(b, c)) == l_sub(l_mul(a, b), l_mul(a, c))
+    assert l_sub(l_mul(a, b), l_mul(b, a)) == ()
+
+
+def test_kernel_merges_radicals_that_meet_on_one_radicand():
+    # sqrt(6)*sqrt(10) = 2 sqrt(15) meets sqrt(15)*(-6) L_1**2 = -2 sqrt(15) L_0 - 4 sqrt(15) L_2
+    a = [Scalar.sqrt(6), Scalar.sqrt(15)]
+    b = [Scalar.sqrt(10), Scalar(-6)]
+    assert l_mul(a, b) == (Scalar(0), -Scalar.sqrt(6), Scalar.sqrt(15, -4))
+    assert l_dot(a, b) == 0
+    assert reference_monomial(l_mul(a, b)) == mono_mul(reference_monomial(a), reference_monomial(b))
 
 
 def test_derivative_matches_monomial_reference():
