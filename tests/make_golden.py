@@ -2,8 +2,13 @@
 
 The corpus holds 24 random general-B/C methods, one for each
 (dtau, dsigma, deg B) in 3..6 x 3..6 x 0..2 whose index sum is even, drawn
-as the certify-general benchmark draws them, plus three family members:
-simplifying(3,3), an order-4 member and EP-Legendre [1, 1, 1/2].  Per
+as the certify-general benchmark draws them, plus seven family members:
+simplifying(3,3), two order-4 members (one with the single radical entry
+a[2,1] = sqrt(15)/30), EP-Legendre [1, 1, 1/2], the symplectic member
+{(1,2): 1/4, (1,3): 1/5}, a symmetric member with the radical odd-sum
+entries a[2,1] = sqrt(15)/30 and a[0,3] = sqrt(7)/10, and the README's
+ep-general method with weights 1, 1/2 and generators 1 + P_1/2 and
+P_0/2 - P_2, whose B is not 1.  Per
 method the file holds the method JSON, the full ``report_to_json_dict``
 and the sha256 of the ``c_breve_defect``/``d_breve_defect`` strings for
 k = 1..3.  Exact fields compare as strings, ``h_bound_per_unit_L`` at
@@ -40,9 +45,13 @@ def corpus():
     from csrk.exact import Scalar
     from csrk.legendre import UnivariatePoly
     from csrk.method import (
+        EpSpec,
+        construct_ep_general,
         construct_ep_legendre,
         construct_order_by_order,
         construct_simplifying,
+        construct_symmetric,
+        construct_symplectic,
         new_method,
     )
 
@@ -70,6 +79,15 @@ def corpus():
     free = {(2, 1): Scalar.sqrt(15, Fraction(1, 30)), (1, 3): Fraction(1, 5)}
     out.append(("order-4", construct_order_by_order(4, free)))
     out.append(("ep-legendre-1-1-1/2", construct_ep_legendre([1, 1, Fraction(1, 2)]).method))
+    sqrt15_30 = Scalar.sqrt(15, Fraction(1, 30))
+    out.append(("order-4-sqrt15", construct_order_by_order(4, {(2, 1): sqrt15_30})))
+    sympl = {(1, 2): Fraction(1, 4), (1, 3): Fraction(1, 5)}
+    out.append(("symplectic-1/4-1/5", construct_symplectic(sympl)))
+    odd = {(2, 1): sqrt15_30, (0, 3): Scalar.sqrt(7, Fraction(1, 10))}
+    out.append(("symmetric-sqrt15-sqrt7", construct_symmetric(odd)))
+    half = Fraction(1, 2)
+    spec = EpSpec((1, half), (UnivariatePoly([1, half]), UnivariatePoly([half, 0, -1])))
+    out.append(("ep-general-readme", construct_ep_general(spec).method))
     return out
 
 
