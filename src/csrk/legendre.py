@@ -20,21 +20,23 @@ Exact algebra runs in the unnormalized basis L_i = P_i / sqrt(2i+1)
 ``tensor_from_l`` coefficient tensors such as a method's alpha.
 Products, powers of tau and the family tensors are radical-free there,
 and the orthonormal coefficients are only an input/output view.
-``l_mul``, ``l_sub``, ``l_dot``, ``l_contract`` and ``l_to_monomial`` run
-on one integer kernel: a polynomial becomes one integer vector per
-square-free radicand over one common denominator (the layout of FLINT's
-fmpq_poly).  A product maps each vector to tau-monomials through the
-integer matrix of the first identity, multiplies each radicand pair as
-one integer (Kronecker substitution), merges the radicals by
-sqrt(r) sqrt(s) = g sqrt((r/g)(s/g)) with g = gcd(r, s), and maps back
-through the second identity as one integer matrix over one denominator;
-dots weigh the vectors by 1/(2i+1) over one denominator.  Scalars are the
-type at every boundary.  ``l_derivative`` and ``l_antiderivative`` apply
-the rational identities to Scalars.  None of these is bound by CAP;
-``UnivariatePoly.derivative`` and the functions ``antiderivative`` and
-``monomial_to_legendre`` are orthonormal views of them.  ``xi``, the
-ladder constant of the orthonormal antiderivative, remains for the
-simplifying family; the algebra here does not use it.
+Products (``l_mul``), dots (``l_dot``), contractions (``l_contract``) and
+both tau<->L conversions (``l_to_monomial``, ``UnivariatePoly.from_monomial``
+and ``monomial_to_legendre``) run on one integer kernel: a polynomial
+becomes one integer vector per square-free radicand over one common
+denominator (the layout of FLINT's fmpq_poly).  A product maps each vector
+to tau-monomials through the integer matrix of the first identity,
+convolves each radicand pair as plain integer lists (no Kronecker
+substitution), merges the radicals by sqrt(r) sqrt(s) = g sqrt((r/g)(s/g))
+with g = gcd(r, s), and maps back through the second identity as one
+integer matrix over one denominator; dots weigh the vectors by 1/(2i+1)
+over one denominator.  Scalars are the type at every boundary.
+``l_sub``, ``l_derivative`` and ``l_antiderivative`` apply rational
+identities to Scalars.  None of the ``l_*`` functions is bound by CAP;
+``UnivariatePoly.derivative`` and the function ``antiderivative`` are
+orthonormal views of them.  ``xi``, the ladder constant of the orthonormal
+antiderivative, remains for the simplifying family; the algebra here does
+not use it.
 
 L_i(t) is numpy's Legendre polynomial at x = 2t - 1, so a tensor in the
 L basis is also a float series for ``np.polynomial.legendre``.  ``_root``
@@ -43,9 +45,11 @@ holds the normalization sqrt(2i+1), and one three-term recurrence
 and as doubles otherwise.  ``eval_legendre``, ``legendre_table``,
 ``UnivariatePoly.__call__`` and exact ``CsrkMethod.eval_A`` all read it.
 
-The monomial helpers (``legendre_monomial``, ``mono_*``, ``to_monomial``,
-``from_monomial``) are reference implementations for the tests and
-names that ``bench/tracer.py`` traces; no certifier uses them.
+The monomial helpers (``legendre_monomial``, ``mono_*``,
+``UnivariatePoly.to_monomial``) are reference implementations for the
+tests and names that ``bench/tracer.py`` traces; no certifier uses them.
+``from_monomial`` is no longer a reference: it reads the kernel's tau-to-L
+table, as ``monomial_to_legendre`` does.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -247,12 +251,8 @@ class UnivariatePoly:
 
     @classmethod
     def from_monomial(cls, mono: Sequence[ScalarLike]) -> "UnivariatePoly":
-        poly = cls()
-        for m, c in enumerate(mono):
-            c = as_scalar(c)
-            if c:
-                poly = poly + monomial_to_legendre(m) * c
-        return poly
+        """The polynomial with monomial coefficients mono (index k = coefficient of x**k)."""
+        return cls(from_l(_scalars(_apply(_from_tau, _vec([as_scalar(c) for c in mono])))))
 
     def __repr__(self):
         return f"UnivariatePoly([{', '.join(str(c) for c in self.coeffs)}])"
@@ -265,15 +265,12 @@ def antiderivative(p: UnivariatePoly) -> UnivariatePoly:
 
 @lru_cache(maxsize=None)
 def monomial_to_legendre(m: int) -> UnivariatePoly:
-    """Legendre-basis coefficients of x**m via m-fold antidifferentiation."""
+    """Legendre-basis coefficients of x**m."""
     if m < 0:
         raise ValueError(f"monomial exponent must be nonnegative, got {m}")
     if m > CAP:
         raise BasisCapExceeded(f"monomial degree {m} exceeds cap {CAP}")
-    a: Sequence[Scalar] = (Scalar(1),)
-    for _ in range(m):
-        a = l_antiderivative(a)
-    return UnivariatePoly(from_l(a)) * factorial(m)
+    return UnivariatePoly.from_monomial([0] * m + [1])
 
 
 def inner_product(u: UnivariatePoly, v: UnivariatePoly) -> Scalar:
@@ -320,39 +317,25 @@ def l_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Exact product of two L-basis coefficient lists, with no degree cap.
 
     Both factors go to integer tau-monomial vectors; each radicand pair is
-    convolved as one integer product (Kronecker substitution), and the
-    product comes back to L through one integer matrix.
+    convolved as plain integer lists, and the product comes back to L
+    through one integer matrix.
     """
     (pa, da), (pb, db) = _apply(_to_tau, _vec(a)), _apply(_to_tau, _vec(b))
-    if not pa or not pb:
-        return ()
-    # every coefficient of every merged product fits a signed slot of this many bytes
-    bound = min(len(a), len(b)) * len(pa) * len(pb) * min(max(pa), max(pb))
-    bound *= max(abs(x) for u in pa.values() for x in u)
-    bound *= max(abs(x) for u in pb.values() for x in u)
-    width = (bound.bit_length() + 8) // 8
-    packed = _pairs(
-        {r: _pack(u, width) for r, u in pa.items()},
-        {r: _pack(u, width) for r, u in pb.items()},
-        mul,
-    )
     n = len(a) + len(b) - 1
-    prod = {r: _unpack(x, n, width) for r, x in packed.items()}
+    prod: dict[int, list[int]] = {}
+    for core, g, u, v in _pairs(pa, pb):
+        w = prod.setdefault(core, [0] * n)
+        for i, x in enumerate(u):
+            if x:
+                x *= g
+                for j, y in enumerate(v, i):
+                    w[j] += x * y
     return _scalars(_apply(_from_tau, (prod, da * db)))
 
 
 def l_sub(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Difference of two L-basis coefficient lists, trailing zeros trimmed."""
-    (pa, da), (pb, db) = _vec(a), _vec(b)
-    den = lcm(da, db)
-    fa, fb = den // da, den // db
-    return _scalars((
-        {
-            r: [fa * x - fb * y for x, y in zip_longest(pa.get(r, ()), pb.get(r, ()), fillvalue=0)]
-            for r in pa.keys() | pb.keys()
-        },
-        den,
-    ))
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=_ZERO)])
 
 
 def l_dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
@@ -364,16 +347,15 @@ def l_contract(rows: Sequence[Sequence[Scalar]], q: Sequence[Scalar]) -> list[Sc
     """int_0^1 row(s) q(s) ds for each L-basis row: the L coefficients of
     int_0^1 F(., s) q(s) ds when F(tau, sigma) is given by its rows in sigma."""
     weights, wden = _dot_weights(_size(len(q)))
-
-    def dot(u, v):
-        return sum(map(mul, map(mul, u, v), weights))
-
     qv, qden = _vec(q)
     out = []
     for row in rows:
         rv, rden = _vec(row)
+        terms: dict[int, int] = {}
+        for core, g, u, v in _pairs(rv, qv):
+            terms[core] = terms.get(core, 0) + g * sum(map(mul, map(mul, u, v), weights))
         den = rden * qden * wden
-        out.append(Scalar._raw({r: Fraction(w, den) for r, w in _pairs(rv, qv, dot).items()}))
+        out.append(Scalar._raw({r: Fraction(w, den) for r, w in terms.items()}))
     return out
 
 
@@ -443,42 +425,17 @@ def _scalars(vec: _Vec) -> tuple[Scalar, ...]:
     return _trim([Scalar._raw(t) for t in terms])
 
 
-def _pairs(a: dict[int, Any], b: dict[int, Any], op) -> dict[int, int]:
-    """The integer sum over radicand pairs (r, s) of op(a[r], b[s]) * sqrt(r) * sqrt(s).
+def _pairs(a: dict[int, list[int]], b: dict[int, list[int]]):
+    """(core, g, a[r], b[s]) for each radicand pair (r, s), where
+    sqrt(r) * sqrt(s) = g * sqrt(core).
 
     r and s are square-free, so sqrt(r) * sqrt(s) = g * sqrt((r/g) * (s/g))
     with g = gcd(r, s), the rule of Scalar multiplication.
     """
-    out: dict[int, int] = {}
     for r, u in a.items():
         for s, v in b.items():
-            w = op(u, v)
-            if w:
-                g = gcd(r, s)
-                core = (r // g) * (s // g)
-                out[core] = out.get(core, 0) + g * w
-    return out
-
-
-def _offset(n: int, width: int) -> int:
-    """The packed vector of n slots that each hold half a slot's range."""
-    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * n, "little")
-
-
-def _pack(u: list[int], width: int) -> int:
-    """sum_i u[i] * 256**(width*i): one integer for a vector of signed slots."""
-    half = 1 << 8 * width - 1
-    data = b"".join((x + half).to_bytes(width, "little") for x in u)
-    return int.from_bytes(data, "little") - _offset(len(u), width)
-
-
-def _unpack(x: int, n: int, width: int) -> list[int]:
-    """The n signed slots of a packed vector."""
-    half = 1 << 8 * width - 1
-    data = (x + _offset(n, width)).to_bytes(n * width, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little") - half for i in range(0, n * width, width)
-    ]
+            g = gcd(r, s)
+            yield (r // g) * (s // g), g, u, v
 
 
 def _size(n: int) -> int:
@@ -561,4 +518,4 @@ def mono_int01(a: Sequence[Scalar]) -> Scalar:
 
 
 ONE = UnivariatePoly([1])
-TAU = monomial_to_legendre(1)
+TAU = UnivariatePoly(from_l([Scalar(Fraction(1, 2))] * 2))  # tau = (L_0 + L_1) / 2

@@ -14,10 +14,11 @@ products with no degree cap (rho probes C**19).  The form holds Scalars
 and is cached for the last method only, so the certifiers of one report
 and the defects that follow it share one conversion and one ladder.  The
 integrals are ``l_dot`` and ``l_contract`` (int_0^1 L_i L_j =
-delta_ij/(2i+1)); these and ``l_mul``, ``l_sub`` and ``l_to_monomial``
-compute on the integer kernel of ``legendre``.  Results are converted back
-only at the end: tensors to orthonormal coefficients, the moment-identity
-defects to monomial coefficients.
+delta_ij/(2i+1)); these and ``l_mul`` and ``l_to_monomial`` compute on
+the integer kernel of ``legendre``, and ``l_sub`` subtracts Scalars
+elementwise.  Results are converted back only at the end: tensors to
+orthonormal coefficients, the moment-identity defects to monomial
+coefficients.
 
 The advisory step-size bound reads the same L form as floats: the L basis
 is numpy's Legendre basis on x = 2t - 1 in both variables, so one
