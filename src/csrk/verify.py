@@ -23,6 +23,11 @@ coefficients.
 The advisory step-size bound reads the same L form as floats: the L basis
 is numpy's Legendre basis on x = 2t - 1 in both variables, so one
 ``legval`` call gives the sigma-series of A(tau, .) for all tau samples.
+Each round of its search (the grid, then each ternary step) is one batched
+computation over its tau values: a length mask trims the series, the
+companion matrices of each trimmed length go to one stacked ``eigvals``
+call, and the antiderivatives are evaluated at the real roots padded to a
+common width.
 """
 
 from __future__ import annotations
@@ -75,9 +80,27 @@ __all__ = [
 _ZERO = Scalar(0)
 
 
+def _magnitude(v: Scalar) -> float:
+    """|v| correctly rounded to a float, inf past the double range."""
+    try:
+        return abs(float(v))
+    except OverflowError:
+        return math.inf
+
+
 def _max_abs(values) -> Scalar:
-    """Exact max-norm: zero iff every entry is exactly zero."""
-    return max((abs(v) for v in values if v), default=_ZERO)
+    """Exact max-norm: zero iff every entry is exactly zero.
+
+    Rounding is monotone, so an entry whose correctly rounded magnitude is
+    below the largest one is below the maximum; only the entries tied at the
+    largest float are compared exactly.
+    """
+    nonzero = [v for v in values if v]
+    if not nonzero:
+        return _ZERO
+    floats = [_magnitude(v) for v in nonzero]
+    top = max(floats)
+    return max(abs(v) for v, f in zip(nonzero, floats) if f == top)
 
 
 def _at(seq, i: int) -> Scalar:
@@ -343,11 +366,17 @@ def check_epm2_condition(
 def stage_contraction_bound(m: CsrkMethod, lipschitz: float) -> float:
     """Step-size ceiling 1 / (L * max_tau int |A(tau, .)|) for unique stages.
 
-    The sigma-series of A(tau, .) for a batch of tau values comes from one
-    ``legval`` of the L form; the inner integral of |A| is that series
-    integrated exactly between its real roots in (-1, 1), and the outer
-    maximum is taken by dense sampling plus ternary refinement to 1e-6 in
-    tau.  Advisory, not a certificate.
+    The outer maximum is taken by dense sampling (65 points) plus ternary
+    refinement to 1e-6 in tau; each round is one batched call over its tau
+    values.  The sigma-series of A(tau, .) come from one ``legval`` of the
+    L form.  Each series is trimmed as ``legtrim`` does, by a mask of its
+    trailing coefficients below 1e-14 of its largest.  The real roots in
+    (-1, 1) come from the companion matrices of ``legcompanion``, stacked
+    into one ``eigvals`` call per trimmed length (a degree-1 series needs
+    none), and sorted with the breaks of every series padded by 1.0 to a
+    common width.  The inner integral of |A| is one ``legint`` and one
+    ``legval`` at the padded breaks, whose padding adds exact zeros.
+    Advisory, not a certificate.
     """
     if lipschitz <= 0:
         raise ValueError("the Lipschitz constant must be positive")
@@ -356,15 +385,36 @@ def stage_contraction_bound(m: CsrkMethod, lipschitz: float) -> float:
     a = np.array(_l_form(m).a or [[0]], dtype=float)
 
     def g_at(taus) -> list[float]:
-        """int_0^1 |A(tau, sigma)| dsigma for each tau, from one sigma-series per tau."""
-        out = []
-        for series in leg.legval(2.0 * np.asarray(taus) - 1.0, a).T:
-            series = leg.legtrim(series, 1e-14 * np.max(np.abs(series)))
-            roots = leg.legroots(series)
-            breaks = np.sort(roots[(abs(roots.imag) < 1e-9) & (abs(roots.real) < 1 - 2e-12)].real)
-            anti = leg.legval(np.concatenate([[-1.0], breaks, [1.0]]), leg.legint(series))
-            out.append(float(np.sum(np.abs(np.diff(anti)))) / 2)
-        return out
+        """int_0^1 |A(tau, sigma)| dsigma for each tau, one batched pass over all of them."""
+        series = leg.legval(2.0 * np.asarray(taus) - 1.0, a)  # column k: A(taus[k], .)
+        n, k = series.shape
+        # legtrim per column: drop trailing |c| <= 1e-14 max|c|; an all-zero column keeps L_0
+        mag = np.abs(series)
+        kept = mag > 1e-14 * mag.max(axis=0)
+        lengths = np.where(kept, np.arange(1, n + 1)[:, None], 1).max(axis=0)
+        series = np.where(np.arange(n)[:, None] < lengths, series, 0.0)
+        # legroots per column, one eigvals call per trimmed length.  Column k of x is -1,
+        # the sorted real roots of series k in (-1, 1), then 1.0 repeated: the repeats
+        # add intervals of length zero
+        x = np.ones((lengths.max() + 1, k))
+        x[0] = -1.0
+        for length in set(lengths.tolist()) - {1}:
+            cols = lengths == length
+            c = series[:length, cols].T
+            if length == 2:
+                roots = (-c[:, 0] / c[:, 1])[None, :]
+            else:  # the rotated companion matrices of legcompanion, stacked
+                deg = length - 1
+                scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+                mat = np.zeros((len(c), deg, deg))
+                i = np.arange(deg - 1)
+                mat[:, i, i + 1] = mat[:, i + 1, i] = np.arange(1, deg) * scl[:-1] * scl[1:]
+                mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * (deg / (2 * deg - 1))
+                roots = np.linalg.eigvals(mat[:, ::-1, ::-1]).T
+            real = (abs(roots.imag) < 1e-9) & (abs(roots.real) < 1 - 2e-12)
+            x[1:length, cols] = np.sort(np.where(real, roots.real, 1.0), axis=0)
+        anti = leg.legval(x, leg.legint(series), tensor=False)
+        return (np.sum(np.abs(np.diff(anti, axis=0)), axis=0) / 2).tolist()
 
     taus = np.linspace(0.0, 1.0, 65)
     vals = g_at(taus)

@@ -290,6 +290,38 @@ def test_max_abs_is_exact():
     assert _max_abs([Scalar.sqrt(2) - Fraction(141421356237, 10**11), Scalar(0)]).sign() == 1
 
 
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([Scalar(1), Scalar(1) + Fraction(1, 10**40)], Scalar(1) + Fraction(1, 10**40)),
+        ([Scalar(1) + Fraction(1, 10**40), -Scalar(1)], Scalar(1) + Fraction(1, 10**40)),
+        ([Scalar.sqrt(2) - 1, 1 - Scalar.sqrt(2)], Scalar.sqrt(2) - 1),
+        ([1 - Scalar.sqrt(2), Scalar.sqrt(2) - 1], Scalar.sqrt(2) - 1),
+        # both floats 0.0
+        ([Scalar(Fraction(1, 10**400)), -Scalar(Fraction(2, 10**400))], Fraction(2, 10**400)),
+        # both floats overflow
+        ([-Scalar(2 * 10**400), Scalar(10**400), Scalar(1)], 2 * 10**400),
+        ([Scalar(0), -Scalar(0), Scalar(0)], 0),
+    ],
+)
+def test_max_abs_compares_exactly_among_the_entries_tied_at_the_top_float(values, expected):
+    got = _max_abs(values)
+    assert got == expected
+    assert got == max(abs(v) for v in values)
+
+
+def test_max_abs_separates_sqrt2_from_rationals_on_its_double():
+    root2 = Scalar.sqrt(2)
+    near = Fraction(math.sqrt(2))  # the double nearest sqrt(2)
+    below, above = near - Fraction(1, 10**30), near + Fraction(1, 10**30)
+    for r in (near, below, above):
+        assert float(Scalar(r)) == float(root2)
+        rational = Scalar(r)
+        larger = root2 if (root2 - rational).sign() > 0 else rational
+        assert _max_abs([root2, -rational]) == larger
+        assert _max_abs([rational, -root2]) == larger
+
+
 def test_symplectic_residual_examples():
     assert not symplectic_residual(minimal_method())
     assert symplectic_residual(avf_method()) == S36
@@ -478,6 +510,92 @@ def brute_force_bound(m, lipschitz, ntau=2001, nsig=20001, rows=64):
         for k in range(0, ntau, rows)
     ])
     return 1.0 / (lipschitz * integrals.max())
+
+
+def reference_contraction_bound(m, lipschitz):
+    """The per-tau loop the batched bound replaced: legtrim, legroots, legint per tau."""
+    leg = np.polynomial.legendre
+    a = np.array(_l_form(m).a or [[0]], dtype=float)
+
+    def g_at(taus):
+        out = []
+        for series in leg.legval(2.0 * np.asarray(taus) - 1.0, a).T:
+            series = leg.legtrim(series, 1e-14 * np.max(np.abs(series)))
+            roots = leg.legroots(series)
+            breaks = np.sort(roots[(abs(roots.imag) < 1e-9) & (abs(roots.real) < 1 - 2e-12)].real)
+            anti = leg.legval(np.concatenate([[-1.0], breaks, [1.0]]), leg.legint(series))
+            out.append(float(np.sum(np.abs(np.diff(anti)))) / 2)
+        return out
+
+    taus = np.linspace(0.0, 1.0, 65)
+    vals = g_at(taus)
+    k = int(np.argmax(vals))
+    lo = taus[max(k - 1, 0)]
+    hi = taus[min(k + 1, len(taus) - 1)]
+    best = vals[k]
+    while hi - lo > 1e-6:
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        g1, g2 = g_at([m1, m2])
+        best = max(best, g1, g2)
+        if g1 < g2:
+            lo = m1
+        else:
+            hi = m2
+    if best == 0.0:
+        return math.inf
+    return 1.0 / (lipschitz * best)
+
+
+def contraction_pinning_methods():
+    """The golden corpus, 20 random general methods and the edge cases of the batched roots."""
+    from make_golden import corpus
+
+    methods = list(corpus())
+    rng = random.Random(61)
+    for n in range(20):
+        dtau, dsigma = rng.randrange(3, 7), rng.randrange(3, 7)
+        methods.append((f"general-{n}", random_general_method(rng, dtau, dsigma, n % 3)))
+    methods += [
+        ("zero", new_method([[0]], ONE, UnivariatePoly([0]))),
+        # constant in sigma, changing sign in tau: every series has length 1
+        ("sigma-constant", new_method([[HALF], [3 * S36]], ONE, UnivariatePoly([HALF, 3 * S36]))),
+        # linear in sigma: the length-2 roots
+        ("sigma-linear", new_method([[HALF, HALF], [S36, -HALF]], ONE, TAU)),
+    ]
+    # A = 1 + c L_1(tau) L_2(sigma): the sigma^2 coefficient vanishes at the grid point
+    # tau = 1/2, so one batch holds series of lengths 1 and 3
+    for c in (1, 3):
+        rows = [[Scalar(1), 0, 0], [0, 0, Scalar.sqrt(15, Fraction(c, 15))]]
+        methods.append((f"mixed-lengths-{c}", new_method(rows, ONE, ONE)))
+    return methods
+
+
+def test_batched_contraction_bound_matches_the_per_tau_loop():
+    for name, m in contraction_pinning_methods():
+        got = stage_contraction_bound(m, 1.0)
+        assert got == pytest.approx(reference_contraction_bound(m, 1.0), rel=1e-14), name
+
+
+def test_contraction_bound_edge_cases():
+    methods = dict(contraction_pinning_methods())
+    assert stage_contraction_bound(methods["zero"], 1.0) == math.inf
+    # A = 1/2 + (3/2)(2 tau - 1) has |A| = 2 at tau = 1
+    assert stage_contraction_bound(methods["sigma-constant"], 1.0) == pytest.approx(0.5, rel=1e-14)
+    a = np.array(_l_form(methods["mixed-lengths-3"]).a, dtype=float)
+    series = np.polynomial.legendre.legval(np.array([-0.5, 0.0, 0.5]), a)
+    assert series[2].tolist() == [-1.5, 0.0, 1.5]
+    # g is convex in L_1(tau), so it peaks at tau = 0 with A = (5 - 9 x^2)/2, x = 2 sigma - 1,
+    # which changes sign at x = sqrt(5)/3: g(0) = 10 sqrt(5)/9 - 1
+    assert stage_contraction_bound(methods["mixed-lengths-3"], 1.0) == pytest.approx(
+        1 / (10 * math.sqrt(5) / 9 - 1), rel=1e-12
+    )
+
+
+def test_contraction_bound_returns_a_python_float():
+    methods = dict(contraction_pinning_methods())
+    for name in ("zero", "sigma-linear", "general-0"):
+        assert type(stage_contraction_bound(methods[name], 1.0)) is float, name
 
 
 def test_contraction_bound_avf():
