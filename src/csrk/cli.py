@@ -308,6 +308,8 @@ def cmd_integrate(args):
     diag["invariant_drifts"] = {
         name: invariant_drift(traj, problem, name) for name in problem.invariants
     }
+    steps = traj.iterations[1:]
+    diag["stage_iterations"] = {"mean": float(steps.mean()), "max": int(steps.max())}
     outputs = {
         args.out: trajectory_to_csv(traj),
         _sidecar(args.out, "diagnostics"): _json_text(diag),

@@ -167,6 +167,8 @@ def test_integrate_kepler_diagnostics(tmp_path, capsys):
     assert diag["energy_drift"] < 1e-8
     assert diag["invariant_drifts"]["angular_momentum"] < 1e-10
     assert diag["empirical_order"] is None
+    iters = [int(line.rsplit(",", 1)[1]) for line in lines[2:]]
+    assert diag["stage_iterations"] == {"mean": sum(iters) / 200, "max": max(iters)}
 
 
 def _symplectic_gauss2(tmp_path, capsys):
@@ -757,6 +759,31 @@ def test_unverifiable_hamiltonian_start_is_rejected_before_stepping(tmp_path, ca
     err = strict_json(stderr.strip())
     assert err["error"] == "ValueError" and "canonical Hamiltonian flow" in err["message"]
     assert _snapshot(tmp_path) == before
+
+
+def test_commands_do_not_import_numpy_random(tmp_path):
+    # the Hamiltonian-flow check probes fixed points, so no command pays
+    # for numpy.random's import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = """
+import sys
+from csrk.cli import main
+for argv in (
+    "construct --family simplifying --alpha 2 --beta 1 --out m.json",
+    "discretize m.json --stages 2 --out tab.json",
+    "integrate tab.json --problem kepler --h 0.05 --steps 20 --out traj.csv",
+    "convergence tab.json --problem pendulum --h-list 0.2,0.1,0.05 --t-final 0.4 --out conv.json",
+):
+    assert main(argv.split()) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_stderr_holds_only_the_error_line(tmp_path, capsys):

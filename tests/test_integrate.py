@@ -1,11 +1,12 @@
 import dataclasses
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from csrk.discretize import discretize, explicit_euler, gauss_legendre
+from csrk.discretize import ButcherTableau, discretize, explicit_euler, gauss_legendre, lobatto
 from csrk.integrate import (
     NonConvergence,
     NonFinite,
@@ -31,7 +32,9 @@ from csrk.method import (
 )
 from csrk.legendre import ONE, TAU, UnivariatePoly
 from csrk.exact import Scalar
-from fractions import Fraction
+
+# the package exports the function integrate under the module's name
+integ = importlib.import_module("csrk.integrate")
 
 HALF = Fraction(1, 2)
 S36 = Scalar.sqrt(3, Fraction(1, 6))
@@ -90,17 +93,116 @@ def test_integrate_midpoint_preserves_quadratic_invariant():
     assert traj.times[-1] == pytest.approx(10.0)
 
 
-def test_single_step_integrate_equals_rk_step():
-    # both share one step body, so chained rk_step calls reproduce the
-    # trajectory bit for bit
+def test_first_step_of_integrate_equals_rk_step():
+    # the first step starts from z_0 at every stage, as rk_step does
+    t = gauss2_tableau()
+    for p, h in ((builtin_problem("pendulum"), 0.05), (builtin_problem("kepler", eccentricity=0.6), 0.01)):
+        traj = integrate(t, p, h, 1)
+        assert rk_step(t, p, 0.0, p.z0, h).tobytes() == traj.states[1].tobytes()
+
+
+@pytest.mark.parametrize("cfg", [StepperConfig(), NEWTON], ids=["fixed_point", "newton"])
+def test_integrate_is_the_step_body_fed_the_predicted_start(cfg):
+    # one step body: chained _step calls, each later one started from
+    # z_{n+1} + h * w @ K, reproduce the trajectory bit for bit
+    t = gauss2_tableau()
+    p = builtin_problem("kepler", eccentricity=0.6)
+    h, n = 0.01, 20
+    traj = integrate(t, p, h, n, cfg)
+    w = integ._start_weights(t)
+    z, start = p.z0, None
+    for k in range(n):
+        z, iters, slopes = integ._step(t, p, traj.times[k], z, h, cfg, start)
+        assert z.tobytes() == traj.states[k + 1].tobytes()
+        assert iters == traj.iterations[k + 1]
+        start = z + h * (w @ slopes)
+
+
+def test_chained_rk_step_agrees_with_integrate():
     t = gauss2_tableau()
     kepler = builtin_problem("kepler", eccentricity=0.6)
-    for p, h, n in ((builtin_problem("pendulum"), 0.05, 1), (kepler, 0.01, 20)):
+    for p, h, n in ((builtin_problem("pendulum"), 0.05, 20), (kepler, 0.01, 20)):
         traj = integrate(t, p, h, n)
         z = p.z0
         for k in range(n):
             z = rk_step(t, p, traj.times[k], z, h)
-            assert z.tobytes() == traj.states[k + 1].tobytes()
+            assert np.max(np.abs(z - traj.states[k + 1])) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "rule", [gauss_legendre(s) for s in range(1, 7)] + [lobatto(s) for s in range(2, 7)],
+    ids=[f"gauss{s}" for s in range(1, 7)] + [f"lobatto{s}" for s in range(2, 7)],
+)
+def test_start_weights_integrate_polynomials_of_degree_below_s(rule):
+    # sum_j w_ij c_j^k = int_1^{1+c_i} theta^k dtheta for k < s, the sum
+    # evaluated exactly from the float weights and nodes
+    t = discretize(minimal_method(), rule)
+    w = integ._start_weights(t)
+    c = [Fraction(x) for x in t.c]
+    for i in range(t.stages):
+        for k in range(t.stages):
+            exact = ((1 + c[i]) ** (k + 1) - 1) / (k + 1)
+            got = sum(Fraction(w[i, j]) * c[j] ** k for j in range(t.stages))
+            assert abs(got - exact) <= Fraction(1, 10**12) * abs(exact)
+
+
+@pytest.mark.parametrize("cfg", [StepperConfig(), NEWTON], ids=["fixed_point", "newton"])
+def test_predicted_start_saves_stage_iterations(cfg):
+    t = gauss2_tableau()
+    p = builtin_problem("kepler", eccentricity=0.6)
+    traj = integrate(t, p, 0.01, 200, cfg)
+    from_zn = [
+        integ._step(t, p, tn, zn, 0.01, cfg)[1] for tn, zn in zip(traj.times, traj.states[:-1])
+    ]
+    assert traj.iterations[1:].mean() < np.mean(from_zn)
+
+
+def test_repeated_nodes_start_every_step_from_zn():
+    # no Lagrange basis on repeated nodes: every step starts as rk_step does
+    t = ButcherTableau(a=[[0.25, 0.25], [0.25, 0.25]], b=[0.5, 0.5], c=[0.5, 0.5])
+    assert integ._start_weights(t) is None
+    p = builtin_problem("pendulum")
+    traj = integrate(t, p, 0.1, 10)
+    z = p.z0
+    for k in range(10):
+        z = rk_step(t, p, traj.times[k], z, 0.1)
+        assert z.tobytes() == traj.states[k + 1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rhs_mid_iteration_is_non_finite_at_its_step(bad):
+    # the rhs turns bad in the second stage iteration of step 2, which
+    # starts from the predicted stages
+    kepler = builtin_problem("kepler", eccentricity=0.6)
+    calls, bad_call = 0, None
+
+    def rhs(time, z):
+        nonlocal calls
+        calls += 1
+        return np.full(4, bad) if calls == bad_call else kepler.rhs(time, z)
+
+    p = dataclasses.replace(kepler, rhs=rhs)
+    t = gauss2_tableau()
+    integrate(t, p, 0.01, 2)
+    bad_call, calls = calls + t.stages + 1, 0
+    with pytest.raises(NonFinite, match="^stage iteration produced non-finite values$") as err:
+        integrate(t, p, 0.01, 5)
+    assert err.value.step_index == 2
+
+
+def test_overflowing_prediction_starts_from_the_new_state():
+    # stage 2 has b_2 = 0 and no stage reads it, so its slope 1.5e308 leaves
+    # every z_n finite; w_22 = 5/4 makes the predicted start overflow, and
+    # that step starts from z_n instead of failing as non-finite
+    t = ButcherTableau(a=np.zeros((2, 2)), b=[1.0, 0.0], c=[0.0, 0.5])
+    p = OdeProblem(
+        dim=1,
+        rhs=lambda time, z: np.array([1.5e308 if time % 1 else 1.0]),
+        z0=np.array([0.0]),
+    )
+    traj = integrate(t, p, 1.0, 4)
+    assert traj.states[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert traj.iterations.tolist() == [0, 1, 1, 1, 1]
 
 
 def test_kepler_desk_run_energy_and_momentum():
@@ -277,6 +379,11 @@ def test_fd_jacobian_matches_analytic_kepler_derivatives():
         got_jac = _fd_jacobian(lambda v: kep.rhs(0.0, v), z, 1e-7)
         assert got_jac.shape == (4, 4)
         assert np.max(np.abs(got_jac - jac)) < 1e-6
+
+
+@pytest.mark.parametrize("e", [0.0, 0.2, 0.4, 0.6, 0.8, 0.85])
+def test_kepler_passes_the_flow_check(e):
+    assert builtin_problem("kepler", eccentricity=e).hamiltonian is not None
 
 
 def test_hamiltonian_rhs_consistency_is_enforced():
