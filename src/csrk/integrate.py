@@ -186,14 +186,15 @@ def _stage_rhs(problem: OdeProblem, stage_times: np.ndarray, u: np.ndarray) -> n
 def _start_weights(t: ButcherTableau) -> np.ndarray | None:
     """Weights w_ij = int_1^{1+c_i} l_j(theta) dtheta, l_j the Lagrange basis on c.
 
-    The stage slopes K_j of a step interpolate the derivative of its
-    collocation polynomial at the nodes; z_{n+1} + h * w @ K extrapolates
-    that polynomial to the next step's stages (Hairer & Wanner, Solving
-    ODEs II, IV.8).  None when nodes repeat: there is no Lagrange basis.
+    The polynomial through a step's stage slopes K_j at the nodes c_j
+    approximates the solution's derivative over the step, so
+    z_{n+1} + h * w @ K extrapolates the solution to the next step's
+    stages (Hairer & Wanner, Solving ODEs II, IV.8).  None when nodes
+    repeat: there is no Lagrange basis.
     """
     c = t.c
     s = c.size
-    if np.unique(c).size < s:
+    if len(set(c.tolist())) < s:  # not np.unique, which imports numpy.ma
         return None
     x, g = np.polynomial.legendre.leggauss(s)  # exact for l_j, of degree s - 1
     theta = 1 + np.outer(c, (1 + x) / 2)  # Gauss points on [1, 1 + c_i], row i
@@ -232,7 +233,7 @@ def _solve_stages(
         unew = u - (m_inv @ (u - g).ravel()).reshape(s, d) if newton else g
         # u is finite, so delta is not finite exactly when unew is not, or
         # when the two differ by more than the largest double
-        delta = float(np.max(np.abs(unew - u)))
+        delta = float(np.abs(unew - u).max())
         if not math.isfinite(delta):
             raise NonFinite("stage iteration produced non-finite values")
         u = unew

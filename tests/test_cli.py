@@ -761,9 +761,10 @@ def test_unverifiable_hamiltonian_start_is_rejected_before_stepping(tmp_path, ca
     assert _snapshot(tmp_path) == before
 
 
-def test_commands_do_not_import_numpy_random(tmp_path):
-    # the Hamiltonian-flow check probes fixed points, so no command pays
-    # for numpy.random's import
+def test_commands_do_not_import_numpy_random_or_ma(tmp_path):
+    # the Hamiltonian-flow check probes fixed points and the stage start
+    # finds repeated nodes without np.unique, so no command pays for
+    # importing numpy.random or numpy.ma
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = """
@@ -776,14 +777,14 @@ for argv in (
     "convergence tab.json --problem pendulum --h-list 0.2,0.1,0.05 --t-final 0.4 --out conv.json",
 ):
     assert main(argv.split()) == 0, argv
-print("numpy.random" in sys.modules)
+print(sorted({"numpy.random", "numpy.ma"} & set(sys.modules)))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_stderr_holds_only_the_error_line(tmp_path, capsys):
