@@ -96,7 +96,8 @@ def test_integrate_midpoint_preserves_quadratic_invariant():
 def test_first_step_of_integrate_equals_rk_step():
     # the first step starts from z_0 at every stage, as rk_step does
     t = gauss2_tableau()
-    for p, h in ((builtin_problem("pendulum"), 0.05), (builtin_problem("kepler", eccentricity=0.6), 0.01)):
+    kepler = builtin_problem("kepler", eccentricity=0.6)
+    for p, h in ((builtin_problem("pendulum"), 0.05), (kepler, 0.01)):
         traj = integrate(t, p, h, 1)
         assert rk_step(t, p, 0.0, p.z0, h).tobytes() == traj.states[1].tobytes()
 
