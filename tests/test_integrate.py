@@ -382,7 +382,7 @@ def test_fd_jacobian_matches_analytic_kepler_derivatives():
         assert np.max(np.abs(got_jac - jac)) < 1e-6
 
 
-@pytest.mark.parametrize("e", [0.0, 0.2, 0.4, 0.6, 0.8, 0.85])
+@pytest.mark.parametrize("e", [0.0, 0.2, 0.4, 0.6, 0.8, 0.86, 0.9, 0.95, 0.99])
 def test_kepler_passes_the_flow_check(e):
     assert builtin_problem("kepler", eccentricity=e).hamiltonian is not None
 
